@@ -13,15 +13,12 @@ Verbs:
 Exit codes: 0 when every check passes, 1 when some verified statement
 fails, 2 for usage errors and malformed input.  Reports are deterministic
 byte for byte for a given fixture and flags; wall-clock timing goes to
-stderr so it never perturbs the report.  The LOCLAB_SEED environment
-variable is reserved for future randomized search features; it is read
-but deliberately unused, since every current code path is exhaustive.
+stderr so it never perturbs the report.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -81,7 +78,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    os.environ.get("LOCLAB_SEED")  # reserved; all current searches are exhaustive
     t0 = time.monotonic()
     try:
         code, report = _dispatch(args)

@@ -177,7 +177,6 @@ def hom_completions(src: Locality, dst: Locality, pinned: dict[int, int],
     cands = {f: _conj_candidates(src, dst, pinned, f) for f in free}
     free.sort(key=lambda f: (len(cands[f]), f))
 
-    pair_items = list(spg.pairs.items())
     results: list[tuple[int, ...]] = []
     assign = dict(pinned)
 

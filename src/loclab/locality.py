@@ -19,6 +19,7 @@ and `locality_from_group` builds exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from .groups import (
@@ -62,6 +63,30 @@ class ChainPartialGroup(PartialGroup):
     the members of S and the object family.  A word w = (f_1, ..., f_n)
     is in the domain when S_w, the set of x in S whose successive images
     under the maps stay in S throughout, is itself an object.
+
+    Domain queries walk a finite automaton (Epstein et al., *Word
+    Processing in Groups*, 1992).  A state is the partial map
+    x -> x^{f_1 ... f_i} on the x in S whose images stayed in S so far,
+    stored as a frozenset of (x, image) pairs; state 0 is the identity on
+    S.  Its domain is S_w, and the state is accepting when S_w is an
+    object.  Reading the letter f keeps the pairs whose image lies in S_f
+    and moves the image by the map of f, so the next state depends only
+    on the previous state and the letter.  States are partial maps between
+    finite sets, so there are finitely many; a breadth-first search from
+    state 0 over every letter reaches all of them, and a walk through the
+    table gives S_w exactly, for words of every length.
+
+    The table (one row of next-state ids per state, one entry per element,
+    plus S_w and the accepting bit) is built on the first domain query and
+    kept by this instance only; nothing in it is shared with other
+    instances.
+
+    Two checks stay independent of the table so that they can catch a
+    fault in it: `verify._word_laws` walks its own S_w dicts as the oracle
+    for "in the domain exactly when S_w is an object", and the
+    domain-matches-chains check of `validate_locality` compares
+    `iter_domain_words` with `chain_domain_words`, which threads objects
+    straight from the definition.
     """
 
     def __init__(self, labels: Sequence[str], inv: Sequence[int], identity: int,
@@ -76,6 +101,10 @@ class ChainPartialGroup(PartialGroup):
         self.objects = canonical_objects(objects)
         self.object_set = set(self.objects)
         self._sf = tuple(frozenset(m) for m in self.conj_maps)
+        # the domain automaton, filled in by _build_table
+        self._next: list[tuple[int, ...]] = []
+        self._state_s: list[frozenset[int]] = []
+        self._accepts: list[bool] = []
         self.is_full_domain = self._prove_full_domain()
         if self.is_full_domain and len(self.pairs) != self.size * self.size:
             raise LocalityBuildError("domain proof contradicts the pair table")
@@ -85,16 +114,42 @@ class ChainPartialGroup(PartialGroup):
     def s_f(self, f: int) -> frozenset[int]:
         return self._sf[f]
 
+    def _build_table(self) -> list[tuple[int, ...]]:
+        """Intern every state reachable from the identity on S, breadth
+        first, and return the next-state rows."""
+        start = frozenset((x, x) for x in self.s_members)
+        ids = {start: 0}
+        states = [start]
+        rows = []
+        for state in states:  # grows while it is walked: the BFS queue
+            row = []
+            for conj in self.conj_maps:
+                nxt = frozenset((x, conj[img]) for x, img in state if img in conj)
+                sid = ids.get(nxt)
+                if sid is None:
+                    sid = ids[nxt] = len(states)
+                    states.append(nxt)
+                row.append(sid)
+            rows.append(tuple(row))
+        self._state_s = [frozenset(x for x, _ in st) for st in states]
+        self._accepts = [s_w in self.object_set for s_w in self._state_s]
+        self._next = rows
+        return rows
+
     def s_of_word(self, w: Word) -> frozenset[int]:
         """S_w = {x in S : all successive conjugates along w stay in S}."""
-        cur = {x: x for x in self.s_members}
+        rows = self._next or self._build_table()
+        state = 0
         for f in w:
-            conj = self.conj_maps[f]
-            cur = {x: conj[img] for x, img in cur.items() if img in conj}
-        return frozenset(cur)
+            state = rows[state][f]
+        return self._state_s[state]
 
     def word_in_domain(self, w: Word) -> bool:
-        return self.s_of_word(w) in self.object_set
+        rows = self._next or self._build_table()
+        state = 0
+        for f in w:
+            state = rows[state][f]
+        return self._accepts[state]
 
     def pair(self, i: int, j: int) -> int | None:
         return self.pairs.get((i, j))
@@ -103,23 +158,22 @@ class ChainPartialGroup(PartialGroup):
         """Walk D depth-first.  Extensions of a word are pruned once the
         tracked S_w leaves the object family; on a valid locality this is
         exact because the domain is closed under taking subwords."""
-        base = {x: x for x in self.s_members}
-        if frozenset(base) not in self.object_set:
+        rows = self._next or self._build_table()
+        accepts = self._accepts
+        if not accepts[0]:
             return
         yield ()
 
-        def rec(word: Word, state: dict[int, int]) -> Iterator[Word]:
+        def rec(word: Word, state: int) -> Iterator[Word]:
             if len(word) == k:
                 return
-            for f in range(self.size):
-                conj = self.conj_maps[f]
-                nxt = {x: conj[img] for x, img in state.items() if img in conj}
-                if frozenset(nxt) in self.object_set:
+            for f, nxt in enumerate(rows[state]):
+                if accepts[nxt]:
                     w2 = word + (f,)
                     yield w2
                     yield from rec(w2, nxt)
 
-        yield from rec((), base)
+        yield from rec((), 0)
 
     def domain_pairs(self) -> list[tuple[int, int]]:
         return sorted(self.pairs)
@@ -682,15 +736,20 @@ def validate_locality(loc: Locality, k: int = 4) -> LocalityReport:
     if loc.proven_full:
         dom_ok, dom_detail = True, "full domain"
     else:
-        via_sw = set(pg.iter_domain_words(dom_k))
-        via_chains = set(chain_domain_words(loc, dom_k))
-        dom_ok = via_sw == via_chains
-        dom_detail = ""
-        if not dom_ok:
-            diff = sorted(via_sw.symmetric_difference(via_chains))
-            w = diff[0]
-            side = "S_w test only" if w in via_sw else "chain search only"
-            dom_detail = f"word {pg.label_word(w)} in {side}"
+        # Both walks are depth-first with letters in increasing order, so
+        # both yield their words sorted; the first position where they part
+        # holds the least word of the symmetric difference.
+        dom_ok, dom_detail = True, ""
+        walks = zip_longest(pg.iter_domain_words(dom_k), chain_domain_words(loc, dom_k))
+        for via_sw, via_chains in walks:
+            if via_sw != via_chains:
+                dom_ok = False
+                if via_chains is None or (via_sw is not None and via_sw < via_chains):
+                    w, side = via_sw, "S_w test only"
+                else:
+                    w, side = via_chains, "chain search only"
+                dom_detail = f"word {pg.label_word(w)} in {side}"
+                break
     checks.append(LocalityCheck("domain-matches-chains", dom_ok, dom_detail))
 
     all_ok = all(c.ok for c in checks)

@@ -187,6 +187,17 @@ def naive_s_f(group, s_members, f):
     return frozenset(x for x in s if group.conj(x, f) in s)
 
 
+def s_of_word_reference(pg, w):
+    """S_w by walking the conjugation maps letter by letter: the partial
+    map x -> x^{f_1 ... f_i} is rebuilt as a fresh dict at every letter,
+    and S_w is its domain at the end."""
+    cur = {x: x for x in pg.s_members}
+    for f in w:
+        conj = pg.conj_maps[f]
+        cur = {x: conj[img] for x, img in cur.items() if img in conj}
+    return frozenset(cur)
+
+
 def blockwise_partial_normals(pg):
     """All partial normal subgroups via conjugation-orbit blocks.
 

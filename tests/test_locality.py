@@ -309,6 +309,7 @@ def test_corrupt_pair_value_is_detected(s5):
     assert not rep.ok
     names = {c.name for c in rep.failing()}
     assert names & {"partial-group", "conjugation-maps-match-table"}
+    assert all(c.detail for c in rep.failing())
 
 
 def test_dropped_object_is_detected(s4):
@@ -322,6 +323,7 @@ def test_dropped_object_is_detected(s4):
     assert not rep.ok
     names = {c.name for c in rep.failing()}
     assert "pair-table-matches-domain" in names or "elements-have-objects" in names
+    assert all(c.detail for c in rep.failing())
 
 
 def test_extra_pair_is_detected(s5):
@@ -338,6 +340,7 @@ def test_extra_pair_is_detected(s5):
     rep = validate_locality(bad, k=3)
     assert not rep.ok
     assert "pair-table-matches-domain" in {c.name for c in rep.failing()}
+    assert all(c.detail for c in rep.failing())
 
 
 def test_shrunken_s_fails_maximality(s4):
