@@ -15,16 +15,33 @@ word with chain P_0 alpha, ..., P_n alpha, so w alpha* lies in the target
 domain; the product identity then follows by induction on the length of
 the left fold, using (3) and the fact that S_w is contained in S of the
 folded product.  Everything below leans on that reduction.
+
+Automorphisms are found as cosets.  Restriction to S is a homomorphism
+Aut(L) -> Aut(S); its kernel R is the group of rigid automorphisms, those
+that are the identity on S, and R is normal as a kernel.  If beta and
+beta' both restrict to alpha_S, then beta^-1 beta' is the identity on S,
+so the automorphisms over alpha_S are either none or the coset beta R.
+`search_automorphisms` therefore enumerates R once, and for every
+object-preserving alpha_S stops at the first completion that is an
+isomorphism; the products beta rho (rho in R) are automorphisms without a
+new certificate.
+
+`locality_automorphisms` and `rigid_automorphisms` keep the two sorted
+tuples of that search on the Locality instance, so each locality is
+searched at most once, and each call hands out a fresh list.  The
+per-element index of the pair table that the backtracking checks against
+lives only as long as one search: kept on the instance it would hold
+memory for every locality a report builds, for the life of the report.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from array import array
+from typing import Iterable, Iterator, Sequence
 
 from .fusion import fusion_from_locality
 from .groups import TableGroup, automorphisms
-from .locality import Locality
-from .partial import Word
+from .locality import ChainPartialGroup, Locality
 
 
 class ExtensionError(ValueError):
@@ -157,6 +174,71 @@ def _conj_candidates(src: Locality, dst: Locality,
     return out
 
 
+def _pair_index(pg: ChainPartialGroup) -> list[array]:
+    """For each element f, the pair-table entries (a, b, c) with f among
+    a, b and c, flattened into one int array per element."""
+    index = [array("i") for _ in range(pg.size)]
+    for (a, b), c in pg.pairs.items():
+        for f in {a, b, c}:
+            index[f].extend((a, b, c))
+    return index
+
+
+def _completions(src: Locality, dst: Locality, pinned: dict[int, int],
+                 cands: dict[int, list[int]], index: list[array],
+                 injective: bool = False) -> Iterator[tuple[int, ...]]:
+    """Every map src -> dst that extends `pinned`, sends each free f into
+    cands[f] and passes the homomorphism certificate, depth first.
+
+    After f is assigned, only the pair entries in index[f] (from
+    `_pair_index` on src) are checked: a pair whose factors are both
+    assigned must have a defined image product, equal to the image of the
+    product once that is assigned.  With `injective`, an image that is
+    already used is skipped.
+    """
+    dpairs = dst.pg.pairs
+    assign = [-1] * src.size
+    used = [False] * dst.size
+    for x, y in pinned.items():
+        assign[x] = y
+        used[y] = True
+    free = sorted((f for f in range(src.size) if assign[f] < 0),
+                  key=lambda f: (len(cands[f]), f))
+
+    def consistent(f: int) -> bool:
+        entries = index[f]
+        for i in range(0, len(entries), 3):
+            ga, gb = assign[entries[i]], assign[entries[i + 1]]
+            if ga < 0 or gb < 0:
+                continue
+            d = dpairs.get((ga, gb))
+            if d is None:
+                return False
+            gc = assign[entries[i + 2]]
+            if gc >= 0 and d != gc:
+                return False
+        return True
+
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(free):
+            full = tuple(assign)
+            if hom_defect(src, dst, full) is None:
+                yield full
+            return
+        f = free[i]
+        for g in cands[f]:
+            if injective and used[g]:
+                continue
+            assign[f] = g
+            used[g] = True
+            if consistent(f):
+                yield from rec(i + 1)
+            used[g] = False
+        assign[f] = -1
+
+    yield from rec(0)
+
+
 def hom_completions(src: Locality, dst: Locality, pinned: dict[int, int],
                     cap: int = 100000) -> list[tuple[int, ...]]:
     """All homomorphisms of partial groups src -> dst extending `pinned`,
@@ -173,56 +255,45 @@ def hom_completions(src: Locality, dst: Locality, pinned: dict[int, int],
         if frozenset(pinned[x] for x in P) not in dpg.object_set:
             raise ExtensionError("pinned part does not map objects to objects")
 
-    free = [f for f in range(spg.size) if f not in pinned]
-    cands = {f: _conj_candidates(src, dst, pinned, f) for f in free}
-    free.sort(key=lambda f: (len(cands[f]), f))
-
+    cands = {f: _conj_candidates(src, dst, pinned, f)
+             for f in range(spg.size) if f not in pinned}
     results: list[tuple[int, ...]] = []
-    assign = dict(pinned)
-
-    def consistent(f: int) -> bool:
-        for (a, b), c in spg.pairs.items():
-            if f not in (a, b, c):
-                continue
-            if a in assign and b in assign:
-                d = dpg.pair(assign[a], assign[b])
-                if d is None:
-                    return False
-                if c in assign and d != assign[c]:
-                    return False
-        return True
-
-    def rec(i: int) -> None:
+    for full in _completions(src, dst, pinned, cands, _pair_index(spg)):
+        results.append(full)
         if len(results) >= cap:
-            return
-        if i == len(free):
-            full = tuple(assign[f] for f in range(spg.size))
-            if hom_defect(src, dst, full) is None:
-                results.append(full)
-            return
-        f = free[i]
-        for g in cands[f]:
-            assign[f] = g
-            if consistent(f):
-                rec(i + 1)
-            del assign[f]
-
-    rec(0)
-    if len(results) >= cap:
-        raise ExtensionError("completion search hit the cap")
+            raise ExtensionError("completion search hit the cap")
     return sorted(results)
 
 
-def locality_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
-    """All automorphisms of the locality, as image tuples.
+def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
+                                                  tuple[tuple[int, ...], ...]]:
+    """Aut(L) and its rigid part R, both sorted, by the coset search of the
+    module docstring: R by a full search over the identity on S, then, for
+    every automorphism alpha_S of S that preserves the object family, the
+    first completion beta that is an isomorphism, multiplied by R.
 
-    The restriction to S must be an automorphism of S preserving the
-    object family; each such candidate is extended over the rest of the
-    carrier by backtracking and kept when the isomorphism certificate
-    passes.
+    Candidates are exact: an automorphism's inverse is a homomorphism
+    too, so condition (2) in both directions makes the conjugation map
+    of the image of f the conjugation map of f transported along alpha_S.
+    Not memoised; `locality_automorphisms` and `rigid_automorphisms` are.
     """
     pg = loc.pg
-    s_sorted = tuple(sorted(pg.s_members))
+    index = _pair_index(pg)
+    by_map: dict[frozenset[tuple[int, int]], list[int]] = {}
+    for g, conj in enumerate(pg.conj_maps):
+        by_map.setdefault(frozenset(conj.items()), []).append(g)
+    free = [f for f in range(pg.size) if f not in pg.s_members]
+
+    def over(alpha_s: dict[int, int]) -> Iterator[tuple[int, ...]]:
+        cands = {f: by_map.get(frozenset((alpha_s[x], alpha_s[y])
+                                         for x, y in pg.conj_maps[f].items()),
+                               [])
+                 for f in free}
+        return (full for full in _completions(loc, loc, alpha_s, cands, index,
+                                               injective=True)
+                if iso_defect(loc, loc, full) is None)
+
+    rigid = tuple(sorted(over({x: x for x in pg.s_members})))
     sg = loc.s_group()
     out: list[tuple[int, ...]] = []
     for a in automorphisms(sg):
@@ -230,18 +301,31 @@ def locality_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
         if {frozenset(alpha_s[x] for x in P) for P in pg.objects} \
                 != set(pg.object_set):
             continue
-        for full in hom_completions(loc, loc, alpha_s):
-            if iso_defect(loc, loc, full) is None:
-                out.append(full)
-    return sorted(set(out))
+        beta = next(over(alpha_s), None)
+        if beta is not None:
+            out.extend(compose_maps(beta, rho) for rho in rigid)
+    return tuple(sorted(set(out))), rigid
+
+
+def _memoised_search(loc: Locality) -> None:
+    if loc._automorphisms is None:
+        loc._automorphisms, loc._rigid_automorphisms = search_automorphisms(loc)
+
+
+def locality_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
+    """All automorphisms of the locality, as image tuples, sorted.
+
+    Searched once per Locality instance; each call returns a fresh list.
+    """
+    _memoised_search(loc)
+    return list(loc._automorphisms)
 
 
 def rigid_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
-    """Automorphisms restricting to the identity on S."""
-    pinned = {x: x for x in loc.pg.s_members}
-    out = [full for full in hom_completions(loc, loc, pinned)
-           if iso_defect(loc, loc, full) is None]
-    return sorted(set(out))
+    """Automorphisms restricting to the identity on S, sorted; from the
+    same memoised search as `locality_automorphisms`."""
+    _memoised_search(loc)
+    return list(loc._rigid_automorphisms)
 
 
 def compose_maps(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:

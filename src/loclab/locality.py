@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .groups import (
     FiniteGroup,
+    GroupBuildError,
     Subgroup,
     TableGroup,
     _p_part,
@@ -224,6 +225,9 @@ class Locality:
         self.parent = parent
         self.parent_index = parent_index
         self._s_group: TableGroup | None = None
+        # memo of extension.locality_automorphisms and rigid_automorphisms
+        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
+        self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -631,7 +635,7 @@ def validate_locality(loc: Locality, k: int = 4) -> LocalityReport:
         if _p_part(ngrp.order, loc.p) != len(loc.s):
             max_ok = False
             max_detail = f"|N_L(S)| = {ngrp.order} has p-part > |S| = {len(loc.s)}"
-    except UndefinedProductError as err:
+    except (UndefinedProductError, GroupBuildError) as err:
         max_ok, max_detail = False, f"N_L(S) is not a group: {err}"
     checks.append(LocalityCheck("s-maximal", max_ok, max_detail))
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 
 from loclab import perm
+from loclab.extension import hom_completions, iso_defect
+from loclab.groups import automorphisms
 
 
 def naive_closure(generators, degree):
@@ -196,6 +198,24 @@ def s_of_word_reference(pg, w):
         conj = pg.conj_maps[f]
         cur = {x: conj[img] for x, img in cur.items() if img in conj}
     return frozenset(cur)
+
+
+def locality_automorphisms_reference(loc):
+    """Aut(L) by the full backtrack: every completion of every automorphism
+    of S that preserves the object family, kept when the isomorphism
+    certificate passes.  No coset argument, no memo."""
+    pg = loc.pg
+    sg = loc.s_group()
+    out = []
+    for a in automorphisms(sg):
+        alpha_s = {sg.tokens[i]: sg.tokens[a[i]] for i in range(sg.order)}
+        if {frozenset(alpha_s[x] for x in P) for P in pg.objects} \
+                != set(pg.object_set):
+            continue
+        for full in hom_completions(loc, loc, alpha_s):
+            if iso_defect(loc, loc, full) is None:
+                out.append(full)
+    return sorted(set(out))
 
 
 def blockwise_partial_normals(pg):

@@ -1,8 +1,11 @@
 """Locality construction, validation, restriction and seeded defects."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loclab.fixtures import build_fixture
 from loclab.groups import parse_group, sylow_p, subgroup_lattice, subgroup_view
 from loclab.locality import (
     ChainPartialGroup,
@@ -354,3 +357,21 @@ def test_shrunken_s_fails_maximality(s4):
     rep = validate_locality(bad, k=2)
     assert not rep.ok
     assert "s-maximal" in {c.name for c in rep.failing()}
+
+
+def test_corrupt_conjugation_map_fails_maximality():
+    """One corrupted entry of a conjugation map inside S leaves N_L(S) not
+    closed under products; s-maximal fails with a witness, no crash."""
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "s5.json")
+    bundle, _ = build_fixture(path, k=2)
+    pg = bundle.localities["L"].pg
+    s = sorted(pg.s_members)
+    maps = [dict(m) for m in pg.conj_maps]
+    maps[s[1]][s[1]] = s[2]
+    bad = Locality(_mutate(pg, conj_maps=maps), 2)
+    rep = validate_locality(bad, k=2)
+    assert not rep.ok
+    failing = {c.name: c for c in rep.failing()}
+    assert "s-maximal" in failing
+    assert failing["s-maximal"].detail.startswith("N_L(S) is not a group")
+    assert all(c.detail for c in rep.failing())
