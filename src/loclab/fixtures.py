@@ -353,10 +353,6 @@ def build_bundle(parsed: ParsedFixture, name: str, *,
     return bundle, report
 
 
-def spec_mode(parsed: ParsedFixture, name: str) -> str:
-    return parsed.object_specs[name]["mode"]
-
-
 def build_fixture(path: str, *, k: int = 4) -> tuple[FixtureBundle | None, Report]:
     """Load, parse and build a fixture file in one step."""
     parsed = load_fixture(path)

@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Sequence
 
 from .groups import (
     FiniteGroup,
-    GroupBuildError,
     Subgroup,
     TableGroup,
     _p_part,
@@ -87,7 +86,12 @@ class FusionSystem:
         self._inv = inv
         self._label = label_fn or str
         self.identity = next(e for e in self.s if mul(e, e) == e)
-        self.subgroups: list[SubTuple] = self._subgroups_within(self.s)
+        view = TableGroup(self.s, mul, label_fn=self._label)
+        # sorted by order, so the first subgroup holding a set is its span
+        self.subgroups: list[SubTuple] = [
+            tuple(sorted(view.tokens[i] for i in h.members))
+            for h in subgroup_lattice(view)]
+        self._member_sets = [frozenset(P) for P in self.subgroups]
         if set(embeddings) != set(self.subgroups):
             raise FusionBuildError("embedding table does not cover the subgroups of S")
         self._emb = {P: frozenset(embeddings[P]) for P in self.subgroups}
@@ -95,11 +99,6 @@ class FusionSystem:
         self._check_table()
 
     # ---- construction helpers -------------------------------------------
-
-    def _subgroups_within(self, members: SubTuple) -> list[SubTuple]:
-        view = TableGroup(members, self._mul, label_fn=self._label)
-        subs = subgroup_lattice(view)
-        return [tuple(sorted(view.tokens[i] for i in h.members)) for h in subs]
 
     def _check_table(self) -> None:
         for P, embs in self._emb.items():
@@ -186,24 +185,11 @@ class FusionSystem:
                      if all(self.conj_in_s(x, s) == x for x in P))
 
     def span(self, seed: Iterable[int]) -> SubTuple:
-        """Subgroup of S generated by the given elements."""
-        members = {self.identity}
-        frontier = sorted(set(seed) | members)
-        members.update(frontier)
-        while frontier:
-            nxt = []
-            for a in sorted(members):
-                for b in frontier:
-                    c = self._mul(a, b)
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-                    c = self._mul(b, a)
-                    if c not in members:
-                        members.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return tuple(sorted(members))
+        """Subgroup of S generated by the given elements: the smallest
+        subgroup of the lattice that contains them."""
+        need = set(seed)
+        return next(P for P, members in zip(self.subgroups, self._member_sets)
+                    if need <= members)
 
     # ---- automorphism groups ---------------------------------------------
 
@@ -237,11 +223,6 @@ class FusionSystem:
         P = self.canon(P)
         n = len(self.n_s(P))
         return all(len(self.n_s(Q)) <= n for Q in self.conjugacy_class(P))
-
-    def is_fully_centralized(self, P: Iterable[int]) -> bool:
-        P = self.canon(P)
-        c = len(self.c_s(P))
-        return all(len(self.c_s(Q)) <= c for Q in self.conjugacy_class(P))
 
     def is_fully_automized(self, P: Iterable[int]) -> bool:
         """Aut_S(P) is a Sylow p-subgroup of Aut_F(P)."""
@@ -359,9 +340,10 @@ class FusionSystem:
         Qset = frozenset(Q)
         N = self.n_s(Q)
         Nset = set(N)
-        subs = self._subgroups_within(N)
         emb: dict[SubTuple, frozenset[Embedding]] = {}
-        for P in subs:
+        for P, members in zip(self.subgroups, self._member_sets):
+            if not members <= Nset:
+                continue
             dom = self.span(P + Q)
             pos = {x: i for i, x in enumerate(dom)}
             allowed = set()
@@ -510,6 +492,26 @@ def _dedupe(generators: Iterable[tuple[frozenset[int], dict[int, int]]]
     return out
 
 
+def generated_fusion(p: int, s: Iterable[int], mul: Callable[[int, int], int],
+                     inv: Callable[[int], int],
+                     generators: Iterable[tuple[frozenset[int], dict[int, int]]],
+                     label_fn: Callable[[int], str] | None = None) -> FusionSystem:
+    """The fusion system on S generated by partial conjugation maps.
+
+    Each generator (dom, cmap) is an injective map on the subset dom of S,
+    given by cmap; it applies to a subgroup inside dom.  The morphisms out
+    of a subgroup P are the composites of generators that start at P.  The
+    family must be closed under inverses, as the conjugation maps of a
+    group or of a locality are, so that the morphism sets are too.
+    """
+    s = tuple(sorted(s))
+    view = TableGroup(s, mul, label_fn=label_fn)
+    subs = [tuple(sorted(view.tokens[i] for i in h.members))
+            for h in subgroup_lattice(view)]
+    emb = _close_embeddings(subs, _dedupe(generators))
+    return FusionSystem(p, s, mul, inv, emb, label_fn=label_fn)
+
+
 def fusion_from_group(group: FiniteGroup, p: int,
                       s_members: Iterable[int] | None = None) -> FusionSystem:
     """The fusion system of a finite group on a Sylow p-subgroup:
@@ -522,18 +524,13 @@ def fusion_from_group(group: FiniteGroup, p: int,
     for g in group.indices():
         dom = frozenset(x for x in s if group.conj(x, g) in s_set)
         gens.append((dom, {x: group.conj(x, g) for x in dom}))
-    view = TableGroup(s, group.mul, label_fn=group.label)
-    subs = [tuple(sorted(view.tokens[i] for i in h.members))
-            for h in subgroup_lattice(view)]
-    emb = _close_embeddings(subs, _dedupe(gens))
-    return FusionSystem(p, s, group.mul, group.inv, emb, label_fn=group.label)
+    return generated_fusion(p, s, group.mul, group.inv, gens, label_fn=group.label)
 
 
 def fusion_from_locality(loc) -> FusionSystem:
     """The fusion system of a locality: generated by the conjugation maps
     c_f on their full domains S_f."""
     pg = loc.pg
-    s = tuple(sorted(pg.s_members))
 
     def mul(a: int, b: int) -> int:
         c = pg.pair(a, b)
@@ -542,12 +539,8 @@ def fusion_from_locality(loc) -> FusionSystem:
         return c
 
     gens = [(frozenset(cmap), dict(cmap)) for cmap in pg.conj_maps]
-    view = TableGroup(s, mul, label_fn=lambda i: pg.labels[i])
-    subs = [tuple(sorted(view.tokens[i] for i in h.members))
-            for h in subgroup_lattice(view)]
-    emb = _close_embeddings(subs, _dedupe(gens))
-    return FusionSystem(loc.p, s, mul, lambda i: pg.inv[i], emb,
-                        label_fn=lambda i: pg.labels[i])
+    return generated_fusion(loc.p, pg.s_members, mul, lambda i: pg.inv[i], gens,
+                            label_fn=lambda i: pg.labels[i])
 
 
 # ---- structural validation ---------------------------------------------------

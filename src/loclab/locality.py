@@ -35,9 +35,7 @@ from .groups import (
     sylow_p,
 )
 from .partial import (
-    CheckFailure,
     MAX_FAILURES,
-    PartialGroup,
     UndefinedProductError,
     ValidationReport,
     Word,
@@ -56,7 +54,7 @@ def canonical_objects(objects: Iterable[Iterable[int]]) -> tuple[frozenset[int],
     return tuple(sorted(objs, key=lambda P: (len(P), tuple(sorted(P)))))
 
 
-class ChainPartialGroup(PartialGroup):
+class ChainPartialGroup:
     """Partial group with domain given by conjugation chains through objects.
 
     Elements are indices 0..n-1.  The data is: the bare pair table, one
@@ -95,7 +93,10 @@ class ChainPartialGroup(PartialGroup):
                  conj_maps: Sequence[dict[int, int]],
                  s_members: Iterable[int],
                  objects: Iterable[Iterable[int]]):
-        super().__init__(labels, inv, identity)
+        self.labels = tuple(labels)
+        self.size = len(self.labels)
+        self.inv = tuple(inv)
+        self.identity = identity
         self.pairs = dict(pair_table)
         self.conj_maps = tuple(dict(m) for m in conj_maps)
         self.s_members = frozenset(s_members)
@@ -176,8 +177,40 @@ class ChainPartialGroup(PartialGroup):
 
         yield from rec((), 0)
 
-    def domain_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs)
+    # -- products ---------------------------------------------------------------
+
+    def product(self, w: Word) -> int:
+        """Pi(w).  Left-folds along the word; PG3 makes the folding sound."""
+        if not self.word_in_domain(w):
+            raise UndefinedProductError(w)
+        return self.fold(w)
+
+    def fold(self, w: Word) -> int:
+        if not w:
+            return self.identity
+        acc = w[0]
+        for f in w[1:]:
+            nxt = self.pair(acc, f)
+            if nxt is None:
+                raise UndefinedProductError(w, "fold step left the pair domain")
+            acc = nxt
+        return acc
+
+    def conj(self, x: int, g: int) -> int | None:
+        """x^g = Pi(g^-1, x, g) when defined, else None."""
+        w = (self.inv[g], x, g)
+        if not self.word_in_domain(w):
+            return None
+        return self.fold(w)
+
+    def label_word(self, w: Word) -> str:
+        return "(" + ", ".join(self.labels[x] for x in w) + ")"
+
+    def index_of(self, label: str) -> int:
+        for i, lab in enumerate(self.labels):
+            if lab == label:
+                return i
+        raise KeyError(label)
 
     # -- full-domain certificate ---------------------------------------------
 
@@ -245,9 +278,6 @@ class Locality:
     def element(self, label: str) -> int:
         return self.pg.index_of(label)
 
-    def is_object(self, P: Iterable[int]) -> bool:
-        return frozenset(P) in self.object_set
-
     def s_f(self, f: int) -> frozenset[int]:
         return self.pg.s_f(f)
 
@@ -255,9 +285,6 @@ class Locality:
         return self.pg.s_of_word(w)
 
     # -- conjugation ------------------------------------------------------------
-
-    def conj_element(self, x: int, f: int) -> int | None:
-        return self.pg.conj_maps[f].get(x)
 
     def conj_subgroup(self, P: Iterable[int], f: int) -> frozenset[int]:
         conj = self.pg.conj_maps[f]
@@ -494,41 +521,70 @@ def restriction(loc: Locality, objects: Iterable[Iterable[int]]) -> Locality:
                     f"family is not closed under overgroups: {sorted(P)} <= {sorted(Q)}")
 
     keep = [f for f in range(pg.size) if pg.s_f(f) in objset]
+    sub = sub_locality(loc, keep, objs)
+    for i, f in enumerate(keep):
+        if frozenset(keep[x] for x in sub.pg.s_f(i)) != pg.s_f(f):
+            raise LocalityBuildError("internal: S_f changed under restriction")
+    return sub
+
+
+def sub_locality(loc: Locality, keep: Sequence[int],
+                 objects: Iterable[Iterable[int]]) -> Locality:
+    """The locality on the elements `keep` of loc (sorted indices), over the
+    object family `objects` (subgroups of S, in loc indices).
+
+    Element i of the result is keep[i], with its label, inverse,
+    conjugation map, S, objects and carrier read through that index, and
+    loc as its parent.  The pair rule: a pair (a, b) of loc's table is
+    kept when a and b are both kept and S_(a, b) is one of the new
+    objects.  This is exact for a restriction: the kept conjugation maps
+    are unchanged, so S_w is the same in loc and in the result, and a pair
+    lies in the result's domain exactly when its S_w is a new object;
+    loc's table holds every such pair, because its objects include the new
+    ones.  With the same objects (the sub-locality NS) every pair of kept
+    elements stays.
+    """
+    pg = loc.pg
+    objset = {frozenset(P) for P in objects}
     pos = {f: i for i, f in enumerate(keep)}
     for f in keep:
         if pg.inv[f] not in pos:
-            raise LocalityBuildError("internal: restricted carrier not closed under inversion")
-
-    labels = [pg.labels[f] for f in keep]
-    inverse = [pos[pg.inv[f]] for f in keep]
-    identity = pos[pg.identity]
-    s_new = frozenset(pos[x] for x in pg.s_members)
-    objs_new = [frozenset(pos[x] for x in P) for P in objs]
-    conj_maps = []
-    for f in keep:
-        conj_maps.append({pos[x]: pos[y] for x, y in pg.conj_maps[f].items()})
+            raise LocalityBuildError("internal: the kept elements are not "
+                                     "closed under inversion")
     table: dict[tuple[int, int], int] = {}
-    for i, f in enumerate(keep):
-        ci = pg.conj_maps[f]
-        for j, g in enumerate(keep):
-            cj = pg.conj_maps[g]
-            s_w = frozenset(x for x, y in ci.items() if y in cj)
-            if s_w in objset:
-                prod = pg.pair(f, g)
-                if prod is None or prod not in pos:
-                    raise LocalityBuildError("internal: restricted product missing or escaping")
-                table[(i, j)] = pos[prod]
-
-    new_pg = ChainPartialGroup(labels, inverse, identity, table, conj_maps,
-                               s_new, objs_new)
-    for i, f in enumerate(keep):
-        if {pos[x] for x in pg.s_f(f)} != set(new_pg.s_f(i)):
-            raise LocalityBuildError("internal: S_f changed under restriction")
-    new_carrier = None
+    for (a, b), c in pg.pairs.items():
+        if a in pos and b in pos and pg.s_of_word((a, b)) in objset:
+            if c not in pos:
+                raise LocalityBuildError(f"internal: product {pg.label_word((a, b))} "
+                                         "leaves the kept elements")
+            table[(pos[a], pos[b])] = pos[c]
+    new_pg = ChainPartialGroup(
+        [pg.labels[f] for f in keep], [pos[pg.inv[f]] for f in keep],
+        pos[pg.identity], table,
+        [{pos[x]: pos[y] for x, y in pg.conj_maps[f].items()} for f in keep],
+        [pos[x] for x in pg.s_members], [[pos[x] for x in P] for P in objset])
+    carrier = None
     if loc.carrier is not None:
-        new_carrier = tuple(loc.carrier[f] for f in keep)
-    return Locality(new_pg, loc.p, ambient=loc.ambient, carrier=new_carrier,
+        carrier = tuple(loc.carrier[f] for f in keep)
+    return Locality(new_pg, loc.p, ambient=loc.ambient, carrier=carrier,
                     parent=loc, parent_index=tuple(keep))
+
+
+class _UnionFind:
+    def __init__(self, n: int) -> None:
+        self.root = list(range(n))
+
+    def find(self, x: int) -> int:
+        r = self.root
+        while r[x] != x:
+            r[x] = r[r[x]]
+            x = r[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.root[max(ra, rb)] = min(ra, rb)
 
 
 # ---------------------------------------------------------------------------

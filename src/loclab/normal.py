@@ -19,16 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .extension import projection_defect
-from .fusion import FusionSystem, _close_embeddings, fusion_from_locality
-from .groups import (
-    TableGroup,
-    _p_part,
-    is_characteristic_p,
-    p_core,
-    p_residual,
-    subgroup_lattice,
-)
-from .locality import ChainPartialGroup, Locality, validate_locality
+from .fusion import FusionSystem, fusion_from_locality, generated_fusion
+from .groups import _p_part, is_characteristic_p, p_core, p_residual
+from .locality import (ChainPartialGroup, Locality, _UnionFind, sub_locality,
+                       validate_locality)
 from .partial import generated_partial_subgroup, subgroup_table_group
 
 
@@ -177,23 +171,6 @@ class QuotientLocality:
     normal: PartialNormalSet
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.root = list(range(n))
-
-    def find(self, x: int) -> int:
-        r = self.root
-        while r[x] != x:
-            r[x] = r[r[x]]
-            x = r[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.root[max(ra, rb)] = min(ra, rb)
-
-
 def quotient(loc: Locality, normal: PartialNormalSet) -> QuotientLocality:
     """The quotient of a locality by a partial normal subgroup.
 
@@ -286,9 +263,9 @@ def quotient(loc: Locality, normal: PartialNormalSet) -> QuotientLocality:
     if not report.ok:
         raise NormalError("quotient failed validation: "
                           + "; ".join(c.name for c in report.failing()))
-    if projection_defect(loc, qloc, proj) is not None:
-        raise NormalError("internal: the projection certificate failed: "
-                          + str(projection_defect(loc, qloc, proj)))
+    defect = projection_defect(loc, qloc, proj)
+    if defect is not None:
+        raise NormalError("internal: the projection certificate failed: " + defect)
 
     # normalizers of objects above T map onto normalizers in the quotient
     t = normal.t
@@ -334,32 +311,7 @@ def ns_locality(loc: Locality, normal: PartialNormalSet) -> Locality:
         raise NormalError("the subgroup belongs to a different locality")
     pg = loc.pg
     members = _ns_members(loc, normal)
-    keep = sorted(members)
-    pos = {f: i for i, f in enumerate(keep)}
-    for f in keep:
-        if pg.inv[f] not in pos:
-            raise NormalError("internal: NS is not closed under inversion")
-
-    labels = [pg.labels[f] for f in keep]
-    inverse = [pos[pg.inv[f]] for f in keep]
-    table: dict[tuple[int, int], int] = {}
-    for (a, b), c in pg.pairs.items():
-        if a in members and b in members:
-            if c not in members:
-                raise NormalError(
-                    f"internal: product {pg.label_word((a, b))} leaves NS")
-            table[(pos[a], pos[b])] = pos[c]
-    conj_maps = [{pos[x]: pos[y] for x, y in pg.conj_maps[f].items()}
-                 for f in keep]
-    s_new = frozenset(pos[x] for x in pg.s_members)
-    objs_new = [frozenset(pos[x] for x in P) for P in pg.objects]
-
-    sub_pg = ChainPartialGroup(labels, inverse, pos[pg.identity], table,
-                               conj_maps, s_new, objs_new)
-    carrier = None
-    if loc.carrier is not None:
-        carrier = tuple(loc.carrier[f] for f in keep)
-    sub = Locality(sub_pg, loc.p, ambient=loc.ambient, carrier=carrier)
+    sub = sub_locality(loc, sorted(members), loc.objects)
 
     for P in loc.objects:
         in_ns = [f for f in loc.n_of(P) if f in members]
@@ -408,8 +360,7 @@ def partial_normal_fusion(loc: Locality, normal: PartialNormalSet) -> FusionSyst
     """The fusion system of the subgroup on T = S meet N, generated by the
     conjugation maps of the subgroup elements."""
     pg = loc.pg
-    t = tuple(sorted(normal.t))
-    tset = set(t)
+    tset = normal.t
 
     def mul(a: int, b: int) -> int:
         c = pg.pair(a, b)
@@ -417,17 +368,13 @@ def partial_normal_fusion(loc: Locality, normal: PartialNormalSet) -> FusionSyst
             raise NormalError("internal: T is not a subgroup")
         return c
 
-    view = TableGroup(t, mul, label_fn=lambda x: pg.labels[x])
-    subs = [tuple(sorted(view.tokens[i] for i in h.members))
-            for h in subgroup_lattice(view)]
     generators = []
     for n in sorted(normal.members):
         cmap = {x: y for x, y in pg.conj_maps[n].items()
                 if x in tset and y in tset}
         generators.append((frozenset(cmap), cmap))
-    table = _close_embeddings(subs, generators)
-    return FusionSystem(loc.p, t, mul, lambda a: pg.inv[a], table,
-                        label_fn=lambda x: pg.labels[x])
+    return generated_fusion(loc.p, tset, mul, lambda a: pg.inv[a], generators,
+                            label_fn=lambda x: pg.labels[x])
 
 
 def is_invariant_subsystem(fus: FusionSystem, sub: FusionSystem) -> bool:

@@ -11,18 +11,21 @@ D that satisfies:
        word in D with the same product;
   PG4  for w in D the word w^-1 * w lies in D and has product 1 = Pi(()).
 
-D is always infinite for a nonempty carrier (PG4 iterates), so all checks
-are bounded by a word length k and report the bound.  Backends whose domain
-is provably all of W(L) set is_full_domain, unlocking exact validation at
-every length via the group axioms.
+The partial groups checked here are `locality.ChainPartialGroup`, whose D
+is the set of words threaded through an object family.  D is infinite for
+a nonempty carrier (PG4 iterates), so the word scan is bounded by a word
+length k and reports the bound.  When the group has proved that D is all
+of W(L) (`is_full_domain`), the group axioms on its pair table are checked
+instead, which is exact at every length.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .locality import ChainPartialGroup
 
 Word = tuple[int, ...]
 
@@ -33,168 +36,8 @@ class UndefinedProductError(Exception):
         super().__init__(f"product undefined on word {word}" + (f" ({note})" if note else ""))
 
 
-def invert_word(pg: "PartialGroup", w: Word) -> Word:
+def invert_word(pg: ChainPartialGroup, w: Word) -> Word:
     return tuple(pg.inv[x] for x in reversed(w))
-
-
-class PartialGroup:
-    """Base class.  Subclasses provide the domain oracle and binary table."""
-
-    def __init__(self, labels: Sequence[str], inv: Sequence[int], identity: int):
-        self.labels = tuple(labels)
-        self.size = len(self.labels)
-        self.inv = tuple(inv)
-        self.identity = identity
-        self.is_full_domain = False
-
-    # --- subclass API -----------------------------------------------------
-    def pair(self, i: int, j: int) -> int | None:
-        """Product of the pair (i, j) when in D, else None."""
-        raise NotImplementedError
-
-    def word_in_domain(self, w: Word) -> bool:
-        raise NotImplementedError
-
-    def iter_domain_words(self, k: int) -> Iterator[Word]:
-        """All words of D with length <= k, the empty word included."""
-        yield ()
-        for length in range(1, k + 1):
-            for w in itertools.product(range(self.size), repeat=length):
-                if self.word_in_domain(w):
-                    yield w
-
-    # --- shared operations --------------------------------------------------
-    def product(self, w: Word) -> int:
-        """Pi(w).  Left-folds along the word; PG3 makes the folding sound."""
-        if not self.word_in_domain(w):
-            raise UndefinedProductError(w)
-        return self.fold(w)
-
-    def fold(self, w: Word) -> int:
-        if not w:
-            return self.identity
-        acc = w[0]
-        for f in w[1:]:
-            nxt = self.pair(acc, f)
-            if nxt is None:
-                raise UndefinedProductError(w, "fold step left the pair domain")
-            acc = nxt
-        return acc
-
-    def conj(self, x: int, g: int) -> int | None:
-        """x^g = Pi(g^-1, x, g) when defined, else None."""
-        w = (self.inv[g], x, g)
-        if not self.word_in_domain(w):
-            return None
-        return self.fold(w)
-
-    def conj_domain(self, g: int) -> tuple[int, ...]:
-        """D(g) = set of x with (g^-1, x, g) in D."""
-        return tuple(x for x in range(self.size) if self.conj(x, g) is not None)
-
-    def conjugate_set(self, xs: Iterable[int], g: int) -> frozenset[int] | None:
-        out = set()
-        for x in xs:
-            y = self.conj(x, g)
-            if y is None:
-                return None
-            out.add(y)
-        return frozenset(out)
-
-    def n_of(self, P: Iterable[int], Q: Iterable[int]) -> tuple[int, ...]:
-        """N(P, Q) = {g : P subseteq D(g) and P^g subseteq Q}."""
-        pset, qset = set(P), set(Q)
-        out = []
-        for g in range(self.size):
-            img = self.conjugate_set(pset, g)
-            if img is not None and img <= qset:
-                out.append(g)
-        return tuple(out)
-
-    def label_word(self, w: Word) -> str:
-        return "(" + ", ".join(self.labels[x] for x in w) + ")"
-
-    def index_of(self, label: str) -> int:
-        for i, lab in enumerate(self.labels):
-            if lab == label:
-                return i
-        raise KeyError(label)
-
-
-class TablePartialGroup(PartialGroup):
-    """Explicit finite word table; D is exactly the key set of `table`.
-
-    Meant for tiny carriers, mutation fixtures and axiom experiments.  The
-    table must contain the empty word mapped to the identity.
-    """
-
-    def __init__(self, labels: Sequence[str], inv: Sequence[int], identity: int,
-                 table: dict[Word, int]):
-        super().__init__(labels, inv, identity)
-        self.table = dict(table)
-
-    def pair(self, i: int, j: int) -> int | None:
-        return self.table.get((i, j))
-
-    def word_in_domain(self, w: Word) -> bool:
-        return tuple(w) in self.table
-
-    def product(self, w: Word) -> int:
-        w = tuple(w)
-        if w not in self.table:
-            raise UndefinedProductError(w)
-        return self.table[w]
-
-    def fold(self, w: Word) -> int:
-        return self.product(w)
-
-    def iter_domain_words(self, k: int) -> Iterator[Word]:
-        for w in sorted(self.table):
-            if len(w) <= k:
-                yield w
-
-
-class FullPartialGroup(PartialGroup):
-    """A finite group regarded as a partial group with D = W(L)."""
-
-    def __init__(self, labels: Sequence[str], mul: Callable[[int, int], int],
-                 inv: Sequence[int], identity: int):
-        super().__init__(labels, inv, identity)
-        self._mul = mul
-        self.is_full_domain = True
-
-    @classmethod
-    def from_group(cls, group) -> "FullPartialGroup":
-        labels = [group.label(i) for i in group.indices()]
-        inv = [group.inv(i) for i in group.indices()]
-        return cls(labels, group.mul, inv, group.identity)
-
-    def pair(self, i: int, j: int) -> int | None:
-        return self._mul(i, j)
-
-    def word_in_domain(self, w: Word) -> bool:
-        return all(0 <= x < self.size for x in w)
-
-    def iter_domain_words(self, k: int) -> Iterator[Word]:
-        yield ()
-        for length in range(1, k + 1):
-            yield from itertools.product(range(self.size), repeat=length)
-
-
-def full_word_table(pg_like, upto: int) -> TablePartialGroup:
-    """Materialize a group-like object (index mul/inv/identity/label) as an
-    explicit word table containing all words of length <= upto."""
-    n = pg_like.order
-    table: dict[Word, int] = {(): pg_like.identity}
-    for length in range(1, upto + 1):
-        for w in itertools.product(range(n), repeat=length):
-            acc = w[0]
-            for f in w[1:]:
-                acc = pg_like.mul(acc, f)
-            table[w] = acc
-    labels = [pg_like.label(i) for i in range(n)]
-    inv = [pg_like.inv(i) for i in range(n)]
-    return TablePartialGroup(labels, inv, pg_like.identity, table)
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +64,7 @@ class ValidationReport:
 MAX_FAILURES = 5
 
 
-def validate_partial_group(pg: PartialGroup, k: int = 4) -> ValidationReport:
+def validate_partial_group(pg: ChainPartialGroup, k: int = 4) -> ValidationReport:
     """Check PG1-PG4 on words of length <= k (exactly, via the group axioms,
     when the domain is provably full)."""
     if pg.is_full_domain:
@@ -229,7 +72,7 @@ def validate_partial_group(pg: PartialGroup, k: int = 4) -> ValidationReport:
     return _validate_bounded(pg, k)
 
 
-def _validate_full(pg: PartialGroup) -> ValidationReport:
+def _validate_full(pg: ChainPartialGroup) -> ValidationReport:
     failures: list[CheckFailure] = []
     n = pg.size
     e = pg.identity
@@ -263,7 +106,7 @@ def _validate_full(pg: PartialGroup) -> ValidationReport:
     return ValidationReport(not failures, "group-axioms", None, failures)
 
 
-def _validate_bounded(pg: PartialGroup, k: int) -> ValidationReport:
+def _validate_bounded(pg: ChainPartialGroup, k: int) -> ValidationReport:
     failures: list[CheckFailure] = []
 
     def add(axiom: str, witness: str) -> bool:
@@ -337,7 +180,7 @@ def _validate_bounded(pg: PartialGroup, k: int) -> ValidationReport:
     return ValidationReport(not failures, "bounded", k, failures)
 
 
-def check_cancellation(pg: PartialGroup, k: int = 3) -> list[CheckFailure]:
+def check_cancellation(pg: ChainPartialGroup, k: int = 3) -> list[CheckFailure]:
     """Derived laws: inserting the identity and cancelling v, v^-1.
 
     (a) if u*v in D then u*(1)*v in D with equal products;
@@ -361,69 +204,10 @@ def check_cancellation(pg: PartialGroup, k: int = 3) -> list[CheckFailure]:
 
 
 # --------------------------------------------------------------------------
-# subsets: partial subgroups, subgroups, partial normal subgroups
+# subgroups
 
 
-@dataclass(frozen=True)
-class SubsetClass:
-    is_partial_subgroup: bool
-    is_subgroup: bool
-    certificate: str  # how "W(H) subseteq D" was established, or ""
-    witness: str = ""
-
-
-def classify_subset(pg: PartialGroup, members: Iterable[int], k: int = 4,
-                    chain_certificate=None) -> SubsetClass:
-    """Partial subgroup: 1 in H, inverse-closed, closed under defined pair
-    products.  Subgroup: additionally W(H) subseteq D, certified structurally
-    by `chain_certificate(members) -> str | None` when available (localities),
-    else checked on words of length <= k."""
-    mem = sorted(set(members))
-    mset = set(mem)
-    if pg.identity not in mset:
-        return SubsetClass(False, False, "", "identity missing")
-    for x in mem:
-        if pg.inv[x] not in mset:
-            return SubsetClass(False, False, "", f"inverse of {pg.labels[x]} missing")
-    for a in mem:
-        for b in mem:
-            prod = pg.pair(a, b)
-            if prod is not None and prod not in mset:
-                return SubsetClass(False, False, "",
-                                   f"product {pg.label_word((a, b))} leaves the set")
-    if pg.is_full_domain:
-        return SubsetClass(True, True, "full domain")
-    if chain_certificate is not None:
-        cert = chain_certificate(mset)
-        if cert:
-            return SubsetClass(True, True, cert)
-    # bounded fallback: all words over H of length <= k must lie in D
-    for length in range(2, k + 1):
-        for w in itertools.product(mem, repeat=length):
-            if not pg.word_in_domain(w):
-                return SubsetClass(True, False, f"bounded k={k}",
-                                   f"word {pg.label_word(w)} not in D")
-    return SubsetClass(True, True, f"bounded k={k}")
-
-
-def is_partial_subgroup(pg: PartialGroup, members: Iterable[int]) -> bool:
-    return classify_subset(pg, members, k=2).is_partial_subgroup
-
-
-def is_partial_normal(pg: PartialGroup, members: Iterable[int]) -> bool:
-    """Partial subgroup stable under all defined conjugations."""
-    if not is_partial_subgroup(pg, members):
-        return False
-    mset = set(members)
-    for g in range(pg.size):
-        for x in mset:
-            y = pg.conj(x, g)
-            if y is not None and y not in mset:
-                return False
-    return True
-
-
-def generated_partial_subgroup(pg: PartialGroup, seed: Iterable[int]) -> tuple[int, ...]:
+def generated_partial_subgroup(pg: ChainPartialGroup, seed: Iterable[int]) -> tuple[int, ...]:
     """Closure of seed under inverses and defined pair products.
 
     PG3 folding means pair products capture all defined word products.
@@ -447,7 +231,7 @@ def generated_partial_subgroup(pg: PartialGroup, seed: Iterable[int]) -> tuple[i
     return tuple(sorted(members))
 
 
-def subgroup_table_group(pg: PartialGroup, members: Iterable[int]):
+def subgroup_table_group(pg: ChainPartialGroup, members: Iterable[int]):
     """A subgroup of a partial group as a TableGroup (tokens = pg indices)."""
     from .groups import TableGroup
 
@@ -460,114 +244,3 @@ def subgroup_table_group(pg: PartialGroup, members: Iterable[int]):
         return c
 
     return TableGroup(toks, mul, label_fn=lambda t: pg.labels[t])
-
-
-# --------------------------------------------------------------------------
-# maps between partial groups
-
-
-class MapKind(Enum):
-    NOT_HOMOMORPHISM = "not-homomorphism"
-    HOMOMORPHISM = "homomorphism"
-    PROJECTION = "projection"
-    ISOMORPHISM = "isomorphism"
-
-
-@dataclass
-class MapReport:
-    kind: MapKind
-    bound: int | None  # None when certified at all lengths
-    witness: str = ""
-
-    @property
-    def is_hom(self) -> bool:
-        return self.kind is not MapKind.NOT_HOMOMORPHISM
-
-
-def _is_hom_bounded(alpha: Sequence[int], src: PartialGroup, dst: PartialGroup,
-                    k: int) -> str | None:
-    for w in src.iter_domain_words(k):
-        image = tuple(alpha[x] for x in w)
-        if not dst.word_in_domain(image):
-            return f"image word {dst.label_word(image)} of {src.label_word(w)} not in D"
-        if alpha[src.product(w)] != dst.product(image):
-            return f"products differ on {src.label_word(w)}"
-    return None
-
-
-def classify_map(alpha: Sequence[int], src: PartialGroup, dst: PartialGroup,
-                 k: int = 4) -> MapReport:
-    """Classify a total map between partial groups.
-
-    homomorphism: D alpha* subseteq D-tilde and Pi(w) alpha = Pi(w alpha*);
-    projection: additionally D alpha* = D-tilde;
-    isomorphism: injective projection (equivalently both directions are
-    homomorphisms of bijections).
-
-    When both domains are provably full, checking pairs settles all lengths
-    (bound None); otherwise words of length <= k are checked.
-    """
-    if len(alpha) != src.size:
-        raise ValueError("map must be total on the source carrier")
-    full = src.is_full_domain and dst.is_full_domain
-    if full:
-        for a in range(src.size):
-            for b in range(src.size):
-                if alpha[src.pair(a, b)] != dst.pair(alpha[a], alpha[b]):
-                    return MapReport(MapKind.NOT_HOMOMORPHISM, None,
-                                     f"pair {src.label_word((a, b))}")
-        bound = None
-    else:
-        witness = _is_hom_bounded(alpha, src, dst, k)
-        if witness is not None:
-            return MapReport(MapKind.NOT_HOMOMORPHISM, k, witness)
-        bound = k
-
-    injective = len(set(alpha)) == src.size
-    surjective = len(set(alpha)) == dst.size
-    if injective and surjective:
-        inverse = [0] * dst.size
-        for x, y in enumerate(alpha):
-            inverse[y] = x
-        if full:
-            back = None
-        else:
-            back = _is_hom_bounded(inverse, dst, src, k)
-        if back is None:
-            return MapReport(MapKind.ISOMORPHISM, bound)
-        return MapReport(MapKind.HOMOMORPHISM, bound,
-                         f"bijective but inverse fails: {back}")
-    if surjective and _image_covers_domain(alpha, src, dst, k if not full else 2):
-        return MapReport(MapKind.PROJECTION, bound)
-    return MapReport(MapKind.HOMOMORPHISM, bound)
-
-
-def _image_covers_domain(alpha: Sequence[int], src: PartialGroup, dst: PartialGroup,
-                         k: int) -> bool:
-    """D alpha* ⊇ D-tilde, on words of length <= k (fibers searched)."""
-    if src.is_full_domain and dst.is_full_domain:
-        return True
-    fibers: dict[int, list[int]] = {}
-    for x, y in enumerate(alpha):
-        fibers.setdefault(y, []).append(x)
-
-    def has_preimage(word: Word) -> bool:
-        def extend(prefix: list[int], rest: Word) -> bool:
-            if not rest:
-                return src.word_in_domain(tuple(prefix))
-            for x in fibers.get(rest[0], []):
-                prefix.append(x)
-                # prune: prefixes of domain words stay in the domain (PG1)
-                if src.word_in_domain(tuple(prefix)) and extend(prefix, rest[1:]):
-                    prefix.pop()
-                    return True
-                prefix.pop()
-            return False
-
-        return extend([], word)
-
-    return all(has_preimage(w) for w in dst.iter_domain_words(k))
-
-
-def kernel(alpha: Sequence[int], src: PartialGroup, dst: PartialGroup) -> tuple[int, ...]:
-    return tuple(x for x in range(src.size) if alpha[x] == dst.identity)

@@ -89,23 +89,6 @@ def cycle_string(a: Perm) -> str:
     return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
 
 
-def parse_cycle_string(text: str, degree: int) -> Perm:
-    """Inverse of cycle_string, accepting e.g. "(1 2)(3 4)" or "()"."""
-    text = text.strip()
-    if text in ("()", "", "e", "id"):
-        return identity_perm(degree)
-    cycles: list[list[int]] = []
-    for chunk in text.replace(")", ")|").split("|"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ValueError(f"bad cycle chunk {chunk!r}")
-        body = chunk[1:-1].replace(",", " ").split()
-        cycles.append([int(p) for p in body])
-    return cycles_to_perm(cycles, degree)
-
-
 def closure(generators: Iterable[Perm], degree: int, cap: int = 10000) -> list[Perm]:
     """BFS closure of a generator set under composition.
 

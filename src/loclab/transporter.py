@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .extension import iso_defect, locality_automorphisms
-from .fusion import (FusionSystem, _close_embeddings, _dedupe,
-                     fusion_from_group, fusion_from_locality)
+from .fusion import FusionSystem, fusion_from_locality, generated_fusion
 from .groups import (FiniteGroup, TableGroup, _p_part, is_characteristic_p,
                      p_core)
-from .locality import (ChainPartialGroup, Locality, canonical_objects,
+from .locality import (ChainPartialGroup, Locality, _UnionFind, canonical_objects,
                        restriction, validate_locality)
 
 
@@ -345,20 +344,6 @@ def transporter_defect(T: TransporterSystem) -> str | None:
 # ---- builders -----------------------------------------------------------
 
 
-def _retoken_fusion(F: FusionSystem, to_token: dict[int, int], p: int,
-                    mul, inv, label_fn) -> FusionSystem:
-    emb = {}
-    for P in F.subgroups:
-        out = set()
-        for img in F.embeddings_of(P):
-            phi = {to_token[a]: to_token[b] for a, b in zip(P, img)}
-            dom = tuple(sorted(phi))
-            out.add(tuple(phi[d] for d in dom))
-        emb[tuple(sorted(to_token[x] for x in P))] = frozenset(out)
-    s = tuple(sorted(to_token[x] for x in F.s))
-    return FusionSystem(p, s, mul, inv, emb, label_fn=label_fn)
-
-
 def _assemble(p, s_labels, s_mul, s_inv, objects, fusion, triples,
               conj_of, mul_g, glabel) -> TransporterSystem:
     """Shared table construction from morphism triples (p_idx, q_idx, g).
@@ -406,10 +391,11 @@ def transporter_of_locality(loc: Locality) -> TransporterSystem:
     s_inv = [tok[pg.inv[x]] for x in s_sorted]
     objects = canonical_objects([{tok[x] for x in P} for P in loc.objects])
     obj_pg = {i: frozenset(s_sorted[t] for t in P) for i, P in enumerate(objects)}
-    fusion = _retoken_fusion(fusion_from_locality(loc),
-                             tok, loc.p,
-                             lambda a, b: s_mul[a][b], lambda a: s_inv[a],
-                             lambda t: s_labels[t])
+    gens = [(frozenset(tok[x] for x in cmap), {tok[x]: tok[y] for x, y in cmap.items()})
+            for cmap in pg.conj_maps]
+    fusion = generated_fusion(loc.p, range(n), lambda a, b: s_mul[a][b],
+                              lambda a: s_inv[a], gens,
+                              label_fn=lambda t: s_labels[t])
     triples = []
     conj_cache: dict[int, dict[int, int]] = {}
     for p_idx in obj_pg:
@@ -450,10 +436,6 @@ def transporter_of_group(group: FiniteGroup, objects: Iterable[Iterable[int]],
     s_inv = [tok[group.inv(x)] for x in s_sorted]
     obj_tok = canonical_objects([{tok[x] for x in P} for P in ambient])
     obj_amb = {i: frozenset(s_sorted[t] for t in P) for i, P in enumerate(obj_tok)}
-    fusion = _retoken_fusion(fusion_from_group(group, p, s_amb),
-                             tok, p,
-                             lambda a, b: s_mul[a][b], lambda a: s_inv[a],
-                             lambda t: s_labels[t])
     triples = set()
     for p_idx, P in obj_amb.items():
         for q_idx, Q in obj_amb.items():
@@ -467,6 +449,11 @@ def transporter_of_group(group: FiniteGroup, objects: Iterable[Iterable[int]],
         return {tok[x]: tok[group.conj(x, gi)] for x in s_sorted
                 if group.conj(x, gi) in tok}
 
+    # g^-1 runs over the group with g, so these are all the maps c_g
+    fusion = generated_fusion(p, range(len(s_sorted)), lambda a, b: s_mul[a][b],
+                              lambda a: s_inv[a],
+                              [(frozenset(c), c) for c in map(conj_of, group.indices())],
+                              label_fn=lambda t: s_labels[t])
     return _assemble(p, s_labels, s_mul, s_inv, obj_tok, fusion, triples,
                      conj_of, group.mul, group.label)
 
@@ -543,14 +530,7 @@ def _build_locality(T: TransporterSystem):
     shared restriction; this is the one place where the left-handed
     category data is flipped into right-handed conjugation words."""
     isos = T.iso_ids()
-    parent = {m: m for m in isos}
-
-    def find(m):
-        while parent[m] != m:
-            parent[m] = parent[parent[m]]
-            m = parent[m]
-        return m
-
+    uf = _UnionFind(T.mor_count)
     for m in isos:
         p_idx = T.src[m]
         for i, P0 in enumerate(T.objects):
@@ -559,13 +539,11 @@ def _build_locality(T: TransporterSystem):
                 r = T.restrict_mor(m, i, q0)
                 if r is None:
                     raise TransporterError("internal: missing restriction")
-                ra, rb = find(m), find(r)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                uf.union(m, r)
 
     members: dict[int, list[int]] = {}
     for m in isos:
-        members.setdefault(find(m), []).append(m)
+        members.setdefault(uf.find(m), []).append(m)
     roots = sorted(members)
 
     def extends(big, small):
@@ -587,7 +565,7 @@ def _build_locality(T: TransporterSystem):
     order = sorted(roots, key=lambda r: (T.g_labels[max_rep[r]] not in T.s_labels,
                                          T.g_labels[max_rep[r]]))
     cls_index = {root: i for i, root in enumerate(order)}
-    class_of = {m: cls_index[find(m)] for m in isos}
+    class_of = {m: cls_index[uf.find(m)] for m in isos}
     size = len(order)
 
     labels = [T.g_labels[max_rep[root]] for root in order]
@@ -660,9 +638,10 @@ def _build_locality(T: TransporterSystem):
                                    "the normalizer")
 
     # the fusion system downstairs is the one generated by object homs
-    gens = [(frozenset(T.pi[m]), dict(T.pi[m])) for m in range(T.mor_count)]
-    view_subs = [tuple(sorted(P)) for P in T.fusion.subgroups]
-    gen_emb = _close_embeddings(view_subs, _dedupe(gens))
+    generated = generated_fusion(T.p, range(len(T.s_labels)),
+                                 lambda a, b: T.s_mul[a][b], lambda a: T.s_inv[a],
+                                 [(frozenset(pi), pi) for pi in T.pi],
+                                 label_fn=lambda t: T.s_labels[t])
     down = fusion_from_locality(loc)
     token_of_class = {v: k for k, v in s_class.items()}
     lifted = {}
@@ -673,7 +652,7 @@ def _build_locality(T: TransporterSystem):
             phi = {token_of_class[a]: token_of_class[b] for a, b in zip(P, img)}
             out.add(tuple(phi[d] for d in sorted(phi)))
         lifted[key] = out
-    if lifted != {P: set(v) for P, v in gen_emb.items()}:
+    if lifted != {P: set(generated.embeddings_of(P)) for P in generated.subgroups}:
         raise TransporterError("internal: downstairs fusion disagrees with "
                                "the generated system")
 
@@ -749,9 +728,6 @@ class CategoryFunctor:
     dst: TransporterSystem
     object_map: tuple[int, ...]
     morphism_map: tuple[int, ...]
-
-    def apply(self, m: int) -> int:
-        return self.morphism_map[m]
 
 
 def functor_defect(alpha: CategoryFunctor) -> str | None:

@@ -268,3 +268,38 @@ def blockwise_partial_normals(pg):
             if ok:
                 out.append(cand)
     return out
+
+
+def retoken_fusion(F, to_token, p, mul, inv, label_fn):
+    """F with every element x of S renamed to_token[x]: the embedding
+    tables are rewritten map by map, not generated again."""
+    from loclab.fusion import FusionSystem
+
+    emb = {}
+    for P in F.subgroups:
+        out = set()
+        for img in F.embeddings_of(P):
+            phi = {to_token[a]: to_token[b] for a, b in zip(P, img)}
+            dom = tuple(sorted(phi))
+            out.add(tuple(phi[d] for d in dom))
+        emb[tuple(sorted(to_token[x] for x in P))] = frozenset(out)
+    s = tuple(sorted(to_token[x] for x in F.s))
+    return FusionSystem(p, s, mul, inv, emb, label_fn=label_fn)
+
+
+def span_reference(mul, identity, seed):
+    """The subgroup generated by seed, by closing under products on both
+    sides until nothing new appears."""
+    members = {identity}
+    frontier = sorted(set(seed) | members)
+    members.update(frontier)
+    while frontier:
+        nxt = []
+        for a in sorted(members):
+            for b in frontier:
+                for c in (mul(a, b), mul(b, a)):
+                    if c not in members:
+                        members.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(members))
