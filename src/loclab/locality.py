@@ -258,7 +258,10 @@ class Locality:
         self.parent = parent
         self.parent_index = parent_index
         self._s_group: TableGroup | None = None
-        # memo of extension.locality_automorphisms and rigid_automorphisms
+        # memos of validate_locality (per k), transporter_of_locality,
+        # extension.locality_automorphisms and rigid_automorphisms
+        self._validations: dict[int, LocalityReport] = {}
+        self._transporter = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
 
@@ -598,7 +601,7 @@ class LocalityCheck:
     detail: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalityReport:
     ok: bool
     checks: tuple[LocalityCheck, ...]
@@ -645,16 +648,11 @@ def chain_domain_words(loc: Locality, k: int) -> Iterator[Word]:
     yield from rec((), start)
 
 
-def validate_locality(loc: Locality, k: int = 4) -> LocalityReport:
-    """Check the definition: L is a partial group, S is a maximal p-subgroup,
-    the objects are a closed family of subgroups of S, and the domain is
-    exactly the set of Delta-threaded words (up to word length k)."""
+def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
+    """The checks of the definition that scan no word, from s-subgroup to
+    conjugation-maps-match-table; internal constructions run only these."""
     pg = loc.pg
     checks: list[LocalityCheck] = []
-
-    pg_report = validate_partial_group(pg, k=k)
-    detail = "; ".join(pg_report.witness_lines()[:MAX_FAILURES])
-    checks.append(LocalityCheck("partial-group", pg_report.ok, detail))
 
     # S is a subgroup: every pair product inside S is defined and stays in S
     s_sorted = sorted(loc.s)
@@ -790,6 +788,21 @@ def validate_locality(loc: Locality, k: int = 4) -> LocalityReport:
             sf_ok, sf_detail = False, f"conjugation map of {pg.labels[f]} disagrees with the table"
             break
     checks.append(LocalityCheck("conjugation-maps-match-table", sf_ok, sf_detail))
+    return checks
+
+
+def validate_locality(loc: Locality, k: int) -> LocalityReport:
+    """Check the definition: L is a partial group on words up to length k,
+    `locality_structure_checks` pass, and the domain is the set of
+    Delta-threaded words up to length min(k, 3).  The report is kept per k
+    on the Locality, so each (Locality, k) is scanned once."""
+    if k in loc._validations:
+        return loc._validations[k]
+    pg = loc.pg
+    pg_report = validate_partial_group(pg, k=k)
+    detail = "; ".join(pg_report.witness_lines()[:MAX_FAILURES])
+    checks = [LocalityCheck("partial-group", pg_report.ok, detail),
+              *locality_structure_checks(loc)]
 
     # D = D_Delta on words of length <= k (full-domain proof covers all k)
     dom_k = min(k, 3)
@@ -812,5 +825,6 @@ def validate_locality(loc: Locality, k: int = 4) -> LocalityReport:
                 break
     checks.append(LocalityCheck("domain-matches-chains", dom_ok, dom_detail))
 
-    all_ok = all(c.ok for c in checks)
-    return LocalityReport(all_ok, tuple(checks), pg_report)
+    report = LocalityReport(all(c.ok for c in checks), tuple(checks), pg_report)
+    loc._validations[k] = report
+    return report

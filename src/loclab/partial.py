@@ -64,7 +64,7 @@ class ValidationReport:
 MAX_FAILURES = 5
 
 
-def validate_partial_group(pg: ChainPartialGroup, k: int = 4) -> ValidationReport:
+def validate_partial_group(pg: ChainPartialGroup, k: int) -> ValidationReport:
     """Check PG1-PG4 on words of length <= k (exactly, via the group axioms,
     when the domain is provably full)."""
     if pg.is_full_domain:

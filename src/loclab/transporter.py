@@ -10,6 +10,10 @@ maps acting on the left, so a triple (P, Q, g) sends x to g x g^-1;
 the bridge back to the word-based localities, which conjugate on the
 right, performs the orientation flip in exactly one place, marked in
 _locality_bridge.
+
+A locality keeps its system and the system keeps its bridge and its
+automorphisms, so each is built and checked once.  The bridge scans no
+word; `_build_locality` says where its word-level guarantee comes from.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .fusion import FusionSystem, fusion_from_locality, generated_fusion
 from .groups import (FiniteGroup, TableGroup, _p_part, is_characteristic_p,
                      p_core)
 from .locality import (ChainPartialGroup, Locality, _UnionFind, canonical_objects,
-                       restriction, validate_locality)
+                       locality_structure_checks, restriction)
 
 
 class TransporterError(ValueError):
@@ -48,8 +52,7 @@ class TransporterSystem:
                  g_labels: Sequence[str],
                  pi: Sequence[dict[int, int]],
                  compose: dict[tuple[int, int], int],
-                 delta: dict[tuple[int, int, int], int],
-                 *, validate: bool = True):
+                 delta: dict[tuple[int, int, int], int]):
         self.p = p
         self.s_labels = tuple(s_labels)
         self.s_mul = tuple(tuple(row) for row in s_mul)
@@ -64,6 +67,7 @@ class TransporterSystem:
         self.compose = dict(compose)
         self.delta = dict(delta)
         self._loc_cache = None
+        self._auts: tuple[CategoryFunctor, ...] | None = None
 
         n = len(self.s_labels)
         self.s_identity = next(e for e in range(n)
@@ -85,10 +89,9 @@ class TransporterSystem:
                     k == self.identity_ids.get(self.src[i]) and
                     self.compose.get((i, j)) == self.identity_ids.get(self.src[j])):
                 self._inverse[i] = j
-        if validate:
-            defect = transporter_defect(self)
-            if defect is not None:
-                raise TransporterError(defect)
+        defect = transporter_defect(self)
+        if defect is not None:
+            raise TransporterError(defect)
 
     # -- basic queries ------------------------------------------------------
 
@@ -381,7 +384,9 @@ def _assemble(p, s_labels, s_mul, s_inv, objects, fusion, triples,
 
 def transporter_of_locality(loc: Locality) -> TransporterSystem:
     """The category whose morphisms P -> Q are the triples (P, Q, g)
-    with g carrying P into Q from the left."""
+    with g carrying P into Q from the left; kept on the Locality."""
+    if loc._transporter is not None:
+        return loc._transporter
     pg = loc.pg
     s_sorted = sorted(pg.s_members)
     tok = {x: i for i, x in enumerate(s_sorted)}
@@ -411,9 +416,10 @@ def transporter_of_locality(loc: Locality) -> TransporterSystem:
         c = pg.product((pg.inv[gi], pg.inv[gj]))
         return pg.inv[c]
 
-    return _assemble(loc.p, s_labels, s_mul, s_inv, objects, fusion,
-                     set(triples), lambda g: conj_cache[g], mul_g,
-                     lambda g: pg.labels[g])
+    loc._transporter = _assemble(loc.p, s_labels, s_mul, s_inv, objects, fusion,
+                                 set(triples), lambda g: conj_cache[g], mul_g,
+                                 lambda g: pg.labels[g])
+    return loc._transporter
 
 
 def transporter_of_group(group: FiniteGroup, objects: Iterable[Iterable[int]],
@@ -528,7 +534,12 @@ def same_category(a: TransporterSystem, b: TransporterSystem) -> bool:
 def _build_locality(T: TransporterSystem):
     """Elements are equivalence classes of category isomorphisms under
     shared restriction; this is the one place where the left-handed
-    category data is flipped into right-handed conjugation words."""
+    category data is flipped into right-handed conjugation words.
+
+    Only `locality_structure_checks` run here.  PG1-PG4 at every length
+    come from `iso_defect`, exact at every length: the transporter suite's
+    `_label_iso` compares the bridge with the validated locality it came
+    from, and `iota_map` a subcategory's bridge with its parent's."""
     isos = T.iso_ids()
     uf = _UnionFind(T.mor_count)
     for m in isos:
@@ -607,18 +618,11 @@ def _build_locality(T: TransporterSystem):
     objects = [frozenset(s_class[t] for t in P) for P in T.objects]
     pg = ChainPartialGroup(labels, inv, identity, pair_table, conj_maps,
                            set(s_class.values()), objects)
-    for a in range(size):
-        for b in range(size):
-            present = (a, b) in pair_table
-            required = pg.s_of_word((a, b)) in pg.object_set
-            if present != required:
-                raise TransporterError(
-                    "internal: composability disagrees with object chains")
     loc = Locality(pg, T.p)
-    report = validate_locality(loc)
-    if not report.ok:
-        raise TransporterError("internal: bridge failed validation: " +
-                               "; ".join(c.name for c in report.failing()))
+    failing = [c for c in locality_structure_checks(loc) if not c.ok]
+    if failing:
+        raise TransporterError("internal: bridge failed validation: " + "; ".join(
+            f"{c.name}: {c.detail}" for c in failing))
 
     # each class acts on the right as the projection of its inverse
     for m in isos:
@@ -910,18 +914,21 @@ def _functor_from_locality_aut(T: TransporterSystem,
 def aut_transporter(T: TransporterSystem) -> list[CategoryFunctor]:
     """All isotypical inclusion-preserving self-equivalences, obtained
     by lifting the automorphisms of the associated locality; at desk
-    scale the list is cross-checked against direct enumeration."""
-    loc, _, _, _, _ = T._locality_bridge()
-    out = [_functor_from_locality_aut(T, sigma)
-           for sigma in locality_automorphisms(loc)]
-    if len({a.morphism_map for a in out}) != len(out):
-        raise TransporterError("internal: lifted automorphisms collide")
-    if len(T.objects) <= 3 and T.mor_count <= 200:
-        direct = _enumerate_functors_directly(T)
-        if ({a.morphism_map for a in direct} != {a.morphism_map for a in out}):
-            raise TransporterError("internal: direct enumeration disagrees "
-                                   "with the lifted automorphisms")
-    return sorted(out, key=lambda a: a.morphism_map)
+    scale the list is cross-checked against direct enumeration.  The list
+    is kept on T; each call hands out a fresh copy."""
+    if T._auts is None:
+        loc, _, _, _, _ = T._locality_bridge()
+        out = [_functor_from_locality_aut(T, sigma)
+               for sigma in locality_automorphisms(loc)]
+        if len({a.morphism_map for a in out}) != len(out):
+            raise TransporterError("internal: lifted automorphisms collide")
+        if len(T.objects) <= 3 and T.mor_count <= 200:
+            direct = _enumerate_functors_directly(T)
+            if ({a.morphism_map for a in direct} != {a.morphism_map for a in out}):
+                raise TransporterError("internal: direct enumeration disagrees "
+                                       "with the lifted automorphisms")
+        T._auts = tuple(sorted(out, key=lambda a: a.morphism_map))
+    return list(T._auts)
 
 
 def _enumerate_functors_directly(T: TransporterSystem) -> list[CategoryFunctor]:

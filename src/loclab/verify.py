@@ -22,7 +22,7 @@ from .fusion import fusion_from_group, fusion_from_locality
 from .groups import automorphisms
 from .locality import Locality, validate_locality
 from .normal import NormalError, verify_normal_correspondence
-from .partial import UndefinedProductError, check_cancellation, validate_partial_group
+from .partial import UndefinedProductError, check_cancellation
 from .reports import Report, Section
 from .transporter import (
     aut_transporter,
@@ -56,20 +56,14 @@ def axioms_suite(bundle: FixtureBundle, *, max_word_len: int = 4,
         if k < max_word_len:
             section.note(f"{name}: word scan shortened to length {k} "
                          f"(budget {budget})")
-        rep = validate_partial_group(loc.pg, k=k)
-        detail = "" if rep.ok else _first_axiom_failure(rep)
+        rep = validate_locality(loc, k).pg_report
+        detail = "" if rep.ok else rep.witness_lines()[0]
         section.add(f"{name}: product axioms on words up to length {k}",
                     rep.ok, detail)
         canc = check_cancellation(loc.pg, k=min(k, 3))
         section.add(f"{name}: left and right cancellation", not canc,
                     f"{canc[0].axiom}: {canc[0].witness}" if canc else "")
     return section
-
-
-def _first_axiom_failure(rep) -> str:
-    for f in rep.failures:
-        return f"{f.axiom}: {f.witness}"
-    return ""
 
 
 def _scan_length(size: int, want: int, budget: int) -> int:

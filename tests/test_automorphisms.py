@@ -31,12 +31,7 @@ from test_locality import S5_DOC, _mutate, s5_transposition_objects
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 FIXTURE_LOCS = ["a4/L", "c2/L", "d8/L", "s4/Lcr", "s4/Lplus", "s5/L"]
-# The s5 bridge is left out: building it re-validates the bridge locality
-# at word length 4, about 10 s, whatever the budget.
-NO_BRIDGE = {"s5/L"}
-NAMES = (FIXTURE_LOCS
-         + [f"{n} bridge" for n in FIXTURE_LOCS if n not in NO_BRIDGE]
-         + ["s5 restriction"])
+NAMES = FIXTURE_LOCS + [f"{n} bridge" for n in FIXTURE_LOCS] + ["s5 restriction"]
 
 _BRIDGES: dict = {}
 
@@ -44,12 +39,12 @@ _BRIDGES: dict = {}
 def _localities() -> dict:
     """name -> Locality: the localities of test_domain_table (every fixture
     locality, the s4/Lplus bridge and an S5 restriction) and the
-    transporter bridge of every other fixture locality but s5/L."""
+    transporter bridge of every other fixture locality."""
     locs = dict(test_domain_table._localities())
     if not _BRIDGES:
         for name in FIXTURE_LOCS:
             key = f"{name} bridge"
-            if name not in NO_BRIDGE and key not in locs:
+            if key not in locs:
                 _BRIDGES[key] = locality_of_transporter(
                     transporter_of_locality(locs[name]))
     locs.update(_BRIDGES)

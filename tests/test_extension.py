@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loclab.groups import parse_group, sylow_p, subgroup_lattice, subgroup_view
-from loclab.locality import locality_from_group, restriction, validate_locality
+from loclab.locality import locality_from_group, restriction
 from loclab.extension import (
     ExtensionError,
     aut_restriction_report,
     automorphism_group,
-    compose_maps,
     extend_hom,
     hom_completions,
     hom_defect,

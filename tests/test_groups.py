@@ -4,10 +4,7 @@ from hypothesis import strategies as st
 
 from loclab import groups, perm
 from loclab.groups import (
-    Group,
     GroupBuildError,
-    Subgroup,
-    TableGroup,
     automorphisms,
     centralizer,
     is_characteristic_p,

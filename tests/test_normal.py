@@ -218,7 +218,7 @@ def test_quotient_by_the_klein_four_subgroup():
     assert sorted(len(P) for P in q.locality.objects) == [1, 2]
     assert q.locality.pg.labels == ("[()]", "[(3 4)]", "[(2 3)]",
                                     "[(2 3 4)]", "[(2 4 3)]", "[(2 4)]")
-    assert validate_locality(q.locality).ok
+    assert validate_locality(q.locality, k=4).ok
     ident = q.locality.pg.identity
     kernel = q.classes[ident]
     assert kernel == _by_order(fam_plus, 4).members
@@ -278,7 +278,7 @@ def test_s5_quotients_validate():
         if 1 < len(n) < loc_plus.size:
             q = quotient(loc_plus, n)
             sizes[len(n)] = q.locality.size
-            assert validate_locality(q.locality).ok
+            assert validate_locality(q.locality, k=4).ok
     assert sizes == {5: 24, 20: 6, 28: 2}
 
 
@@ -293,7 +293,7 @@ def test_ns_locality_sizes_on_s4():
     ns1 = ns_locality(loc_plus, fam_plus[0])
     assert ns1.pg.is_full_domain
     assert validate_locality(ns_locality(loc_plus,
-                                         _by_order(fam_plus, 4))).ok
+                                         _by_order(fam_plus, 4)), k=4).ok
 
 
 def test_ns_locality_sizes_on_s5():

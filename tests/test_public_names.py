@@ -8,6 +8,9 @@ constant other than a docstring (the bench harness resolves functions and
 methods from strings such as "fusion.fusion_from_group").  Its own
 definition does not count.  A public name that nothing refers to is dead
 code; delete it or make it private.
+
+A second test does the same for imports: every name a module under `src/`
+or `tests/` imports must be loaded somewhere in that module.
 """
 
 import ast
@@ -77,3 +80,19 @@ def test_every_public_name_is_referenced():
                   os.path.splitext(os.path.basename(path))[0], tree)
               if short not in used]
     assert not unused, "public names referenced nowhere: " + ", ".join(unused)
+
+
+def test_every_imported_name_is_loaded():
+    unused = []
+    for path in _python_files():
+        if os.path.relpath(path, ROOT).split(os.sep)[0] == "bench":
+            continue
+        tree = ast.parse(open(path, encoding="utf-8").read())
+        loaded = {node.id for node in ast.walk(tree) if type(node) is ast.Name}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in loaded:
+                        unused.append(f"{os.path.relpath(path, ROOT)}: {name}")
+    assert not unused, "imported names never loaded: " + ", ".join(unused)

@@ -177,7 +177,7 @@ def test_round_trip_gives_an_isomorphic_locality():
     _, _, _, loc_cr, _, T_cr, _ = _s4()
     L2 = locality_of_transporter(T_cr)
     assert L2.size == 24
-    assert validate_locality(L2).ok
+    assert validate_locality(L2, k=4).ok
     by_label = {L2.pg.labels[y]: y for y in range(L2.size)}
     alpha = tuple(by_label[loc_cr.pg.labels[x]] for x in range(loc_cr.size))
     assert iso_defect(loc_cr, L2, alpha) is None
