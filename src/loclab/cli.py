@@ -25,7 +25,7 @@ import time
 from .extension import locality_automorphisms, rigid_automorphisms
 from .fixtures import FixtureBundle, FixtureError, build_fixture
 from .groups import subgroup_lattice
-from .normal import enumerate_partial_normal
+from .normal import NormalError, enumerate_partial_normal
 from .reports import Report, Section, render
 from .transporter import (
     inner_auts,
@@ -179,7 +179,12 @@ def _enumerate(bundle: FixtureBundle, what: str, name: str | None,
 
     if what == "partial-normal":
         for locname, loc in locs.items():
-            found = enumerate_partial_normal(loc, cap=cap)
+            try:
+                found = enumerate_partial_normal(loc, cap=cap)
+            except NormalError as exc:
+                section.add(f"{locname}: partial normal enumeration within "
+                            "budget", False, str(exc))
+                continue
             for n in found:
                 section.items.append({
                     "locality": locname,

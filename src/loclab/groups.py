@@ -32,6 +32,7 @@ class FiniteGroup:
         self.order: int = 0
         self.identity: int = 0
         self._inv: tuple[int, ...] = ()
+        self._sylow_cache: dict[int, Subgroup] = {}  # sylow_p, per prime
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -302,8 +303,14 @@ def sylow_p(group: FiniteGroup, p: int) -> Subgroup:
     full order, N_G(P)/P has order divisible by p, so some p-element y
     outside P normalizes it and <P, y> is a strictly larger p-group.  All
     Sylow p-subgroups are conjugate, so taking the least conjugate at the
-    end makes the result canonical.
+    end makes the result canonical.  The result is kept on the group, per p.
     """
+    if p not in group._sylow_cache:
+        group._sylow_cache[p] = _least_sylow(group, p)
+    return group._sylow_cache[p]
+
+
+def _least_sylow(group: FiniteGroup, p: int) -> Subgroup:
     target = _p_part(group.order, p)
     cur: tuple[int, ...] = (group.identity,)
     gens: list[int] = []

@@ -36,6 +36,7 @@ from .groups import (
 )
 from .partial import (
     MAX_FAILURES,
+    CheckFailure,
     UndefinedProductError,
     ValidationReport,
     Word,
@@ -81,11 +82,15 @@ class ChainPartialGroup:
     instances.
 
     Two checks stay independent of the table so that they can catch a
-    fault in it: `verify._word_laws` walks its own S_w dicts as the oracle
-    for "in the domain exactly when S_w is an object", and the
+    fault in it.  Both compare it with the chain definition, which threads
+    objects through the conjugation maps and never reads the table.  On a
+    locality that `carrier_certificate` covers, `chain_product_walk` walks
+    the product of the table with the subset construction of the chain
+    automaton, which is exact at every length.  On any other locality the
     domain-matches-chains check of `validate_locality` compares
-    `iter_domain_words` with `chain_domain_words`, which threads objects
-    straight from the definition.
+    `iter_domain_words` with `chain_domain_words` up to length 3, and
+    `verify._word_laws` walks its own S_w dicts as the oracle for "in the
+    domain exactly when S_w is an object".
     """
 
     def __init__(self, labels: Sequence[str], inv: Sequence[int], identity: int,
@@ -258,9 +263,10 @@ class Locality:
         self.parent = parent
         self.parent_index = parent_index
         self._s_group: TableGroup | None = None
-        # memos of validate_locality (per k), transporter_of_locality,
+        # memos of validate_locality (per word length k, or None for the
+        # carrier certificate, which answers every k), transporter_of_locality,
         # extension.locality_automorphisms and rigid_automorphisms
-        self._validations: dict[int, LocalityReport] = {}
+        self._validations: dict[int | None, LocalityReport] = {}
         self._transporter = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
@@ -621,31 +627,190 @@ class LocalityReport:
         return out
 
 
+def _thread(loc: Locality, heads: frozenset[frozenset[int]],
+            f: int) -> frozenset[frozenset[int]]:
+    """One letter of the chain definition: the objects P^f for the P in
+    heads with P <= S_f and P^f an object."""
+    conj, dom = loc.pg.conj_maps[f], loc.pg.s_f(f)
+    out = set()
+    for P in heads:
+        if P <= dom:
+            img = frozenset(conj[x] for x in P)
+            if img in loc.object_set:
+                out.add(img)
+    return frozenset(out)
+
+
 def chain_domain_words(loc: Locality, k: int) -> Iterator[Word]:
     """Words of length <= k threaded through the objects, straight from the
     chain definition: track all objects reachable as the end of a chain."""
     yield ()
-    pg = loc.pg
-    start = set(loc.objects)
 
-    def rec(word: Word, heads: set[frozenset[int]]) -> Iterator[Word]:
+    def rec(word: Word, heads: frozenset[frozenset[int]]) -> Iterator[Word]:
         if len(word) == k:
             return
-        for f in range(pg.size):
-            conj = pg.conj_maps[f]
-            dom = pg.s_f(f)
-            nxt = set()
-            for P in heads:
-                if P <= dom:
-                    img = frozenset(conj[x] for x in P)
-                    if img in loc.object_set:
-                        nxt.add(img)
+        for f in range(loc.size):
+            nxt = _thread(loc, heads, f)
             if nxt:
                 w2 = word + (f,)
                 yield w2
                 yield from rec(w2, nxt)
 
-    yield from rec((), start)
+    yield from rec((), frozenset(loc.objects))
+
+
+def chain_product_walk(loc: Locality) -> tuple[Word, str] | None:
+    """Compare the domain table with the chain definition at every length.
+
+    The chain definition is a nondeterministic automaton over objects: a
+    word is threaded when some object survives every letter, one `_thread`
+    step each, starting from the whole family.  Its subset construction is
+    a deterministic automaton whose states are sets of objects, accepting
+    when the set is nonempty; the S_w table of `ChainPartialGroup` is
+    another, accepting when S_w is an object.  Both are finite, so the
+    pairs of states that some word reaches in the two at once are finite
+    too, and the two accept the same words exactly when no reachable pair
+    disagrees on accepting (the product test of Hopcroft and Karp, "A
+    linear algorithm for testing equivalence of finite automata", 1971).
+    The walk is breadth first with letters in increasing order, so the
+    first disagreeing pair it meets is reached by the shortlex-least word
+    on which the two definitions part.
+
+    Returns that word and the side that accepts it, "S_w test only" or
+    "chain search only", or None when the two agree on every word.
+    """
+    pg = loc.pg
+    rows = pg._next or pg._build_table()
+    accepts = pg._accepts
+    successors: dict[frozenset, tuple[frozenset, ...]] = {}
+    start = (0, frozenset(loc.objects))
+    seen = {start}
+    queue: list[tuple[tuple[int, frozenset], Word]] = [(start, ())]
+    for (state, heads), word in queue:  # grows while it is walked
+        if accepts[state] != bool(heads):
+            return word, "S_w test only" if accepts[state] else "chain search only"
+        nexts = successors.get(heads)
+        if nexts is None:
+            nexts = successors[heads] = tuple(_thread(loc, heads, f)
+                                              for f in range(loc.size))
+        for f, pair in enumerate(zip(rows[state], nexts)):
+            if pair not in seen:
+                seen.add(pair)
+                queue.append((pair, word + (f,)))
+    return None
+
+
+def carrier_certificate(loc: Locality) -> ValidationReport:
+    """PG1-PG4, cancellation and the word laws of L_Delta(M), at every
+    length, read off M.
+
+    For a locality with an `ambient` group M and a `carrier` c: L -> M
+    (set by `locality_from_group`, kept by `sub_locality`) this checks:
+
+      (a) c is injective, c(1) = 1 and c(f^-1) = c(f)^-1;
+      (b) the conjugation map of f is x -> x^c(f) in M, defined on exactly
+          the x in S with x^c(f) in S;
+      (c) a pair (a, b) is in the table exactly when S_(a,b) is an object,
+          and then c(ab) = c(a)c(b).
+
+    Given these and `locality_structure_checks` (S a subgroup, objects
+    subgroups of S closed under overgroups in S and under conjugation,
+    S_f an object for every f), a finite argument covers every length.
+    Let w = (f_1, ..., f_n) have S_w an object.
+
+    - By (b), S_u for any word u is the meet of S with S^(g^-1) over the
+      products g = c(f_1)...c(f_i) of the prefixes of u: a subgroup of S,
+      and S_w <= S_u for every prefix u of w.
+    - The left fold of w is defined and c(Pi(w)) = c(f_1)...c(f_n).  By
+      induction, if u is a prefix with c(Pi(u)) the product of its
+      letters, then x^c(Pi(u)) lies in S for every x in S_u, so
+      S_w <= S_u <= S_Pi(u).  Hence S_(Pi(u), f) contains S_(u, f) and so
+      S_w for the next letter f; it is a subgroup over an object, hence an
+      object, and (c) puts the pair in the table with the product of M.
+      The same gives "S_w <= S_Pi(w)" and "conjugation along w is
+      conjugation by Pi(w)".
+    - PG1: S_u >= S_w for a prefix u, and for the rest v of w,
+      S_v >= S_w^Pi(u), an object by conjugation closure; S and every S_f
+      are objects.  PG2 is the fold of one letter.
+    - PG3: replacing a subword v by Pi(v) keeps every x in S_w on the same
+      path through S, so S_w lies in S of the new word; both products are
+      the same product in M, hence equal in L by (a).
+    - PG4: S_(w^-1 w) >= S_w^Pi(w), and its product is c^-1(1) = 1.
+    - Cancellation: 1 acts as the identity on S, and (x, x^-1) as the
+      identity on the points it keeps, so inserting 1 or deleting
+      (x, x^-1) does not shrink S_w, and M gives equal products.
+    - Normalizer chains: for an object X <= S_w and y in N_L(X), each
+      conjugation (f^-1, y, f) along w is threaded by a conjugate of X, so
+      conjugating y letter by letter is defined and ends at y^Pi(w).
+
+    Cost: O(|L|^2) table lookups and products in M plus O(|L| |S|)
+    conjugations in M.  The certificate is sufficient, not necessary: a
+    failure says only that this argument does not apply, and
+    `validate_locality` then scans words.  Each failure names an element
+    or a pair.
+    """
+    pg, M, car = loc.pg, loc.ambient, loc.carrier
+    labels = pg.labels
+    failures: list[CheckFailure] = []
+
+    def add(axiom: str, witness: str) -> bool:
+        failures.append(CheckFailure(axiom, witness))
+        return len(failures) >= MAX_FAILURES
+
+    def report() -> ValidationReport:
+        return ValidationReport(not failures, "carrier", None, failures)
+
+    # (a) the carrier; (b) and (c) compare with M, which needs c injective
+    if len(car) != pg.size:
+        add("carrier", f"{len(car)} carrier entries for {pg.size} elements")
+        return report()
+    back: dict[int, int] = {}
+    for f, g in enumerate(car):
+        if g in back:
+            add("carrier", f"{labels[back[g]]} and {labels[f]} both go to "
+                f"{M.label(g)} in M")
+            return report()
+        back[g] = f
+    if car[pg.identity] != M.identity:
+        add("carrier", f"the identity {labels[pg.identity]} goes to "
+            f"{M.label(car[pg.identity])} in M")
+    for f in range(pg.size):
+        if car[pg.inv[f]] != M.inv(car[f]):
+            add("carrier", f"the inverse of {labels[f]} does not go to the "
+                "inverse in M")
+            break
+    if failures:
+        return report()
+
+    # (b) conjugation maps
+    s_back = {car[x]: x for x in pg.s_members}
+    for f in range(pg.size):
+        have = pg.conj_maps[f]
+        for x in sorted(pg.s_members):
+            img = M.conj(car[x], car[f])
+            want = s_back.get(img)
+            if have.get(x) != want:
+                got = labels[have[x]] if x in have else "nothing"
+                if add("conjugation", f"conjugation by {labels[f]} sends "
+                       f"{labels[x]} to {got}; in M it goes to {M.label(img)}"):
+                    return report()
+                break
+
+    # (c) the pair table
+    for a in range(pg.size):
+        for b in range(pg.size):
+            c = pg.pairs.get((a, b))
+            if pg.word_in_domain((a, b)) != (c is not None):
+                side = "not an object" if c is not None else "an object"
+                if add("domain", f"pair {pg.label_word((a, b))} is "
+                       f"{'in' if c is not None else 'missing from'} the "
+                       f"table, but its S subgroup is {side}"):
+                    return report()
+            elif c is not None and car[c] != M.mul(car[a], car[b]):
+                if add("product", f"the table gives {pg.label_word((a, b))} "
+                       f"= {labels[c]}; M gives {M.label(M.mul(car[a], car[b]))}"):
+                    return report()
+    return report()
 
 
 def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
@@ -791,40 +956,58 @@ def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
     return checks
 
 
+def _bounded_chain_mismatch(loc: Locality, k: int) -> tuple[Word, str] | None:
+    """The least word of length <= k on which `iter_domain_words` and
+    `chain_domain_words` part, with the side that yields it, or None.
+
+    Both walks are depth-first with letters in increasing order, so both
+    yield their words sorted; the first position where they part holds the
+    least word of the symmetric difference."""
+    walks = zip_longest(loc.pg.iter_domain_words(k), chain_domain_words(loc, k))
+    for via_sw, via_chains in walks:
+        if via_sw != via_chains:
+            if via_chains is None or (via_sw is not None and via_sw < via_chains):
+                return via_sw, "S_w test only"
+            return via_chains, "chain search only"
+    return None
+
+
 def validate_locality(loc: Locality, k: int) -> LocalityReport:
-    """Check the definition: L is a partial group on words up to length k,
+    """Check the definition of a locality: L is a partial group,
     `locality_structure_checks` pass, and the domain is the set of
-    Delta-threaded words up to length min(k, 3).  The report is kept per k
-    on the Locality, so each (Locality, k) is scanned once."""
-    if k in loc._validations:
-        return loc._validations[k]
-    pg = loc.pg
-    pg_report = validate_partial_group(pg, k=k)
-    detail = "; ".join(pg_report.witness_lines()[:MAX_FAILURES])
-    checks = [LocalityCheck("partial-group", pg_report.ok, detail),
-              *locality_structure_checks(loc)]
+    Delta-threaded words.
 
-    # D = D_Delta on words of length <= k (full-domain proof covers all k)
-    dom_k = min(k, 3)
-    if loc.proven_full:
-        dom_ok, dom_detail = True, "full domain"
+    When the structural checks pass and `carrier_certificate` holds, the
+    certificate is the partial-group check and `chain_product_walk` the
+    domain check; both are exact at every length, so one report, with
+    `pg_report.mode` "carrier", answers every k.  Otherwise words are
+    scanned: `validate_partial_group` up to length k, and the domain
+    against `chain_domain_words` up to length min(k, 3).
+
+    Reports are kept on the Locality.  A passing scan at k' >= k answers
+    k; a failing one does not, since its fault may lie beyond k."""
+    memo = loc._validations
+    if None in memo:
+        return memo[None]
+    for bound in sorted(memo):
+        if bound == k or (bound > k and memo[bound].ok):
+            return memo[bound]
+    structure = locality_structure_checks(loc)
+    pg_report = None
+    if (loc.ambient is not None and loc.carrier is not None
+            and all(c.ok for c in structure)):
+        pg_report = carrier_certificate(loc)
+    if pg_report is not None and pg_report.ok:
+        key, mismatch = None, chain_product_walk(loc)
     else:
-        # Both walks are depth-first with letters in increasing order, so
-        # both yield their words sorted; the first position where they part
-        # holds the least word of the symmetric difference.
-        dom_ok, dom_detail = True, ""
-        walks = zip_longest(pg.iter_domain_words(dom_k), chain_domain_words(loc, dom_k))
-        for via_sw, via_chains in walks:
-            if via_sw != via_chains:
-                dom_ok = False
-                if via_chains is None or (via_sw is not None and via_sw < via_chains):
-                    w, side = via_sw, "S_w test only"
-                else:
-                    w, side = via_chains, "chain search only"
-                dom_detail = f"word {pg.label_word(w)} in {side}"
-                break
-    checks.append(LocalityCheck("domain-matches-chains", dom_ok, dom_detail))
-
-    report = LocalityReport(all(c.ok for c in checks), tuple(checks), pg_report)
-    loc._validations[k] = report
+        key, pg_report = k, validate_partial_group(loc.pg, k=k)
+        # the full-domain proof covers every length
+        mismatch = None if loc.proven_full else _bounded_chain_mismatch(loc, min(k, 3))
+    detail = "; ".join(pg_report.witness_lines()[:MAX_FAILURES])
+    dom_detail = "" if mismatch is None else (
+        f"word {loc.pg.label_word(mismatch[0])} in {mismatch[1]}")
+    checks = (LocalityCheck("partial-group", pg_report.ok, detail), *structure,
+              LocalityCheck("domain-matches-chains", mismatch is None, dom_detail))
+    report = LocalityReport(all(c.ok for c in checks), checks, pg_report)
+    memo[key] = report
     return report

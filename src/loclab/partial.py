@@ -13,10 +13,15 @@ D that satisfies:
 
 The partial groups checked here are `locality.ChainPartialGroup`, whose D
 is the set of words threaded through an object family.  D is infinite for
-a nonempty carrier (PG4 iterates), so the word scan is bounded by a word
-length k and reports the bound.  When the group has proved that D is all
-of W(L) (`is_full_domain`), the group axioms on its pair table are checked
-instead, which is exact at every length.
+a nonempty carrier (PG4 iterates), so no scan covers it.  A locality
+L_Delta(M) that carries its map into the group M needs no scan:
+`locality.carrier_certificate` proves PG1-PG4 and cancellation at every
+length from M.  The scans here serve every other locality (transporter
+bridges, quotients, hand-built ones) and the tests, which keep them as
+oracles.  `validate_partial_group` scans words up to a length k and
+reports the bound; when the group has proved that D is all of W(L)
+(`is_full_domain`), it checks the group axioms on the pair table instead,
+which is exact at every length.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ class CheckFailure:
 @dataclass
 class ValidationReport:
     ok: bool
-    mode: str  # "group-axioms" (exact, all lengths) or "bounded"
+    mode: str  # "carrier" or "group-axioms" (exact, all lengths), or "bounded"
     bound: int | None
     failures: list[CheckFailure] = field(default_factory=list)
 

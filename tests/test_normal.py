@@ -1,9 +1,13 @@
 """Partial normal subgroups: enumeration, quotients, the NS sub-locality,
 the correspondence across a restriction, and normalizer factorizations."""
 
+import json
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loclab import cli
 from loclab.fusion import FusionSystem, fusion_from_locality
 from loclab.groups import (
     TableGroup,
@@ -470,3 +474,18 @@ def test_factorization_bound_failure_is_reported():
     with pytest.raises(NormalError, match="not in the subgroup"):
         trans = next(f for f in range(pg.size) if pg.labels[f] == "(1 2)")
         alperin_decompose(loc_plus, n_a4, trans)
+
+
+@pytest.mark.parametrize("verb", [["enumerate", "partial-normal"], ["report"]])
+def test_small_enum_cap_fails_the_enumeration_with_a_witness(verb, capsys):
+    """A cap below the carrier size is a failing check, not a crash."""
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "s4.json")
+    assert cli.main([*verb, path, "--enum-cap", "10"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    section = next(s for s in doc["sections"]
+                   if s["name"] == "enumerate partial-normal")
+    assert section["checks"] == [
+        {"name": f"{name}: partial normal enumeration within budget",
+         "ok": False, "detail": "carrier size 24 exceeds cap 10"}
+        for name in ("Lcr", "Lplus")]
+    assert not section.get("items")
