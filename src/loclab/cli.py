@@ -50,9 +50,13 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", choices=("json", "md"), default="json",
                         help="report format (default json)")
     common.add_argument("--max-word-len", type=int, default=3, metavar="K",
-                        help="word length bound for exhaustive scans")
+                        help="word length quoted in report lines; every "
+                        "check holds at all lengths (default 3)")
     common.add_argument("--enum-cap", type=int, default=None, metavar="N",
-                        help="budget for enumeration and word scans")
+                        help="largest locality for partial normal "
+                        "enumeration and longest automorphism list "
+                        "(default 512); also the word budget that shortens "
+                        "the quoted length")
 
     b = sub.add_parser("build", parents=[common],
                        help="construct and validate a fixture")

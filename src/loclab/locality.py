@@ -19,8 +19,7 @@ and `locality_from_group` builds exactly this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .groups import (
     FiniteGroup,
@@ -41,7 +40,6 @@ from .partial import (
     ValidationReport,
     Word,
     subgroup_table_group,
-    validate_partial_group,
 )
 
 
@@ -81,16 +79,11 @@ class ChainPartialGroup:
     kept by this instance only; nothing in it is shared with other
     instances.
 
-    Two checks stay independent of the table so that they can catch a
-    fault in it.  Both compare it with the chain definition, which threads
-    objects through the conjugation maps and never reads the table.  On a
-    locality that `carrier_certificate` covers, `chain_product_walk` walks
-    the product of the table with the subset construction of the chain
-    automaton, which is exact at every length.  On any other locality the
-    domain-matches-chains check of `validate_locality` compares
-    `iter_domain_words` with `chain_domain_words` up to length 3, and
-    `verify._word_laws` walks its own S_w dicts as the oracle for "in the
-    domain exactly when S_w is an object".
+    One check stays independent of the table so that it can catch a fault
+    in it: `chain_product_walk` walks the product of the table with the
+    subset construction of the chain automaton, which threads objects
+    through the conjugation maps and never reads the table, and so compares
+    the two definitions of the domain at every length.
     """
 
     def __init__(self, labels: Sequence[str], inv: Sequence[int], identity: int,
@@ -160,27 +153,6 @@ class ChainPartialGroup:
 
     def pair(self, i: int, j: int) -> int | None:
         return self.pairs.get((i, j))
-
-    def iter_domain_words(self, k: int) -> Iterator[Word]:
-        """Walk D depth-first.  Extensions of a word are pruned once the
-        tracked S_w leaves the object family; on a valid locality this is
-        exact because the domain is closed under taking subwords."""
-        rows = self._next or self._build_table()
-        accepts = self._accepts
-        if not accepts[0]:
-            return
-        yield ()
-
-        def rec(word: Word, state: int) -> Iterator[Word]:
-            if len(word) == k:
-                return
-            for f, nxt in enumerate(rows[state]):
-                if accepts[nxt]:
-                    w2 = word + (f,)
-                    yield w2
-                    yield from rec(w2, nxt)
-
-        yield from rec((), 0)
 
     # -- products ---------------------------------------------------------------
 
@@ -263,13 +235,14 @@ class Locality:
         self.parent = parent
         self.parent_index = parent_index
         self._s_group: TableGroup | None = None
-        # memos of validate_locality (per word length k, or None for the
-        # carrier certificate, which answers every k), transporter_of_locality,
-        # extension.locality_automorphisms and rigid_automorphisms
-        self._validations: dict[int | None, LocalityReport] = {}
+        # memos of validate_locality (one report answers every k),
+        # transporter_of_locality, extension.locality_automorphisms and
+        # rigid_automorphisms, and normal.enumerate_partial_normal
+        self._validation: LocalityReport | None = None
         self._transporter = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
+        self._partial_normals: tuple | None = None
 
     # -- basics ---------------------------------------------------------------
 
@@ -641,24 +614,6 @@ def _thread(loc: Locality, heads: frozenset[frozenset[int]],
     return frozenset(out)
 
 
-def chain_domain_words(loc: Locality, k: int) -> Iterator[Word]:
-    """Words of length <= k threaded through the objects, straight from the
-    chain definition: track all objects reachable as the end of a chain."""
-    yield ()
-
-    def rec(word: Word, heads: frozenset[frozenset[int]]) -> Iterator[Word]:
-        if len(word) == k:
-            return
-        for f in range(loc.size):
-            nxt = _thread(loc, heads, f)
-            if nxt:
-                w2 = word + (f,)
-                yield w2
-                yield from rec(w2, nxt)
-
-    yield from rec((), frozenset(loc.objects))
-
-
 def chain_product_walk(loc: Locality) -> tuple[Word, str] | None:
     """Compare the domain table with the chain definition at every length.
 
@@ -745,9 +700,9 @@ def carrier_certificate(loc: Locality) -> ValidationReport:
 
     Cost: O(|L|^2) table lookups and products in M plus O(|L| |S|)
     conjugations in M.  The certificate is sufficient, not necessary: a
-    failure says only that this argument does not apply, and
-    `validate_locality` then scans words.  Each failure names an element
-    or a pair.
+    failure may lie in the carrier alone.  Each failure names an element
+    or a pair, and `validate_locality` reports it as the failure of the
+    partial-group check, which makes no other check of the axioms.
     """
     pg, M, car = loc.pg, loc.ambient, loc.carrier
     labels = pg.labels
@@ -758,7 +713,7 @@ def carrier_certificate(loc: Locality) -> ValidationReport:
         return len(failures) >= MAX_FAILURES
 
     def report() -> ValidationReport:
-        return ValidationReport(not failures, "carrier", None, failures)
+        return ValidationReport(not failures, failures)
 
     # (a) the carrier; (b) and (c) compare with M, which needs c injective
     if len(car) != pg.size:
@@ -956,58 +911,37 @@ def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
     return checks
 
 
-def _bounded_chain_mismatch(loc: Locality, k: int) -> tuple[Word, str] | None:
-    """The least word of length <= k on which `iter_domain_words` and
-    `chain_domain_words` part, with the side that yields it, or None.
-
-    Both walks are depth-first with letters in increasing order, so both
-    yield their words sorted; the first position where they part holds the
-    least word of the symmetric difference."""
-    walks = zip_longest(loc.pg.iter_domain_words(k), chain_domain_words(loc, k))
-    for via_sw, via_chains in walks:
-        if via_sw != via_chains:
-            if via_chains is None or (via_sw is not None and via_sw < via_chains):
-                return via_sw, "S_w test only"
-            return via_chains, "chain search only"
-    return None
-
-
 def validate_locality(loc: Locality, k: int) -> LocalityReport:
     """Check the definition of a locality: L is a partial group,
     `locality_structure_checks` pass, and the domain is the set of
     Delta-threaded words.
 
-    When the structural checks pass and `carrier_certificate` holds, the
-    certificate is the partial-group check and `chain_product_walk` the
-    domain check; both are exact at every length, so one report, with
-    `pg_report.mode` "carrier", answers every k.  Otherwise words are
-    scanned: `validate_partial_group` up to length k, and the domain
-    against `chain_domain_words` up to length min(k, 3).
-
-    Reports are kept on the Locality.  A passing scan at k' >= k answers
-    k; a failing one does not, since its fault may lie beyond k."""
-    memo = loc._validations
-    if None in memo:
-        return memo[None]
-    for bound in sorted(memo):
-        if bound == k or (bound > k and memo[bound].ok):
-            return memo[bound]
+    The partial-group check is `carrier_certificate`, which needs an
+    ambient group M and the carrier into it (`locality_from_group` and
+    `sub_locality` set both) and, for its argument, every structural
+    check.  A locality without them fails the check with a witness that
+    names the reason.  The domain check is `chain_product_walk`, on every
+    locality.  Both are exact at every word length, so `k` does not change
+    the result; the parameter stays for callers that state a length.  The
+    report is kept on the Locality."""
+    if loc._validation is not None:
+        return loc._validation
     structure = locality_structure_checks(loc)
-    pg_report = None
-    if (loc.ambient is not None and loc.carrier is not None
-            and all(c.ok for c in structure)):
-        pg_report = carrier_certificate(loc)
-    if pg_report is not None and pg_report.ok:
-        key, mismatch = None, chain_product_walk(loc)
+    broken = [c.name for c in structure if not c.ok]
+    if loc.ambient is None or loc.carrier is None:
+        pg_report = ValidationReport(False, [CheckFailure(
+            "certificate", "no ambient group M and carrier into it")])
     else:
-        key, pg_report = k, validate_partial_group(loc.pg, k=k)
-        # the full-domain proof covers every length
-        mismatch = None if loc.proven_full else _bounded_chain_mismatch(loc, min(k, 3))
+        pg_report = carrier_certificate(loc)
+        if pg_report.ok and broken:
+            pg_report = ValidationReport(False, [CheckFailure(
+                "certificate", f"needs the structural check {broken[0]}, "
+                "which fails")])
+    mismatch = chain_product_walk(loc)
     detail = "; ".join(pg_report.witness_lines()[:MAX_FAILURES])
     dom_detail = "" if mismatch is None else (
         f"word {loc.pg.label_word(mismatch[0])} in {mismatch[1]}")
     checks = (LocalityCheck("partial-group", pg_report.ok, detail), *structure,
               LocalityCheck("domain-matches-chains", mismatch is None, dom_detail))
-    report = LocalityReport(all(c.ok for c in checks), checks, pg_report)
-    memo[key] = report
-    return report
+    loc._validation = LocalityReport(all(c.ok for c in checks), checks, pg_report)
+    return loc._validation

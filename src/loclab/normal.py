@@ -125,14 +125,21 @@ def normal_closure(loc: Locality, seed: Iterable[int]) -> PartialNormalSet:
 
 
 def enumerate_partial_normal(loc: Locality, cap: int = 512) -> list[PartialNormalSet]:
-    """All partial normal subgroups of the locality.
+    """All partial normal subgroups of the locality, by order and members.
 
     Every partial normal subgroup is the join of the closures of the
     single elements it contains, so joining element closures until the
-    family is stable finds the complete lattice.
+    family is stable finds the complete lattice.  The family is kept on
+    the Locality; the cap is checked on every call.
     """
     if loc.size > cap:
         raise NormalError(f"carrier size {loc.size} exceeds cap {cap}")
+    if loc._partial_normals is None:
+        loc._partial_normals = _partial_normal_family(loc)
+    return list(loc._partial_normals)
+
+
+def _partial_normal_family(loc: Locality) -> tuple[PartialNormalSet, ...]:
     atoms = sorted({normal_closure(loc, (x,)).members for x in range(loc.size)},
                    key=lambda m: (len(m), sorted(m)))
     trivial = frozenset({loc.pg.identity})
@@ -149,8 +156,8 @@ def enumerate_partial_normal(loc: Locality, cap: int = 512) -> list[PartialNorma
                     found.add(joined)
                     fresh.append(joined)
         frontier = fresh
-    return [_as_partial_normal(loc, m)
-            for m in sorted(found, key=lambda m: (len(m), sorted(m)))]
+    return tuple(_as_partial_normal(loc, m)
+                 for m in sorted(found, key=lambda m: (len(m), sorted(m))))
 
 
 # ---------------------------------------------------------------------------

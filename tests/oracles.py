@@ -5,6 +5,14 @@ fixpoint iteration over full product tables, subgroup enumeration by subset
 closure, fusion by direct conjugation in the ambient permutation group, and
 partial-normal enumeration by power-set scan.  They are slow and only run at
 tiny scale.
+
+The word scans at the end check a locality the way the definition reads:
+they list every word of the domain up to a length k and test PG1-PG4,
+cancellation, the word laws and the chain definition of the domain on
+each.  `locality.validate_locality` proves all of these at every length
+from the ambient group instead; the scans are its reference on the
+fixtures and the only check of the localities that have no ambient group
+(transporter bridges, quotients, hand-built ones).
 """
 
 from __future__ import annotations
@@ -14,6 +22,18 @@ import itertools
 from loclab import perm
 from loclab.extension import hom_completions, iso_defect
 from loclab.groups import automorphisms
+from loclab.locality import (
+    LocalityCheck,
+    LocalityReport,
+    _thread,
+    locality_structure_checks,
+)
+from loclab.partial import (
+    MAX_FAILURES,
+    CheckFailure,
+    UndefinedProductError,
+    ValidationReport,
+)
 
 
 def naive_closure(generators, degree):
@@ -303,3 +323,306 @@ def span_reference(mul, identity, seed):
                         nxt.append(c)
         frontier = nxt
     return tuple(sorted(members))
+
+
+# ---------------------------------------------------------------------------
+# word scans
+
+
+def iter_domain_words(pg, k):
+    """Walk D depth-first.  Extensions of a word are pruned once the
+    tracked S_w leaves the object family; on a valid locality this is
+    exact because the domain is closed under taking subwords."""
+    rows = pg._next or pg._build_table()
+    accepts = pg._accepts
+    if not accepts[0]:
+        return
+    yield ()
+
+    def rec(word, state):
+        if len(word) == k:
+            return
+        for f, nxt in enumerate(rows[state]):
+            if accepts[nxt]:
+                w2 = word + (f,)
+                yield w2
+                yield from rec(w2, nxt)
+
+    yield from rec((), 0)
+
+
+def chain_domain_words(loc, k):
+    """Words of length <= k threaded through the objects, straight from the
+    chain definition: track all objects reachable as the end of a chain."""
+    yield ()
+
+    def rec(word, heads):
+        if len(word) == k:
+            return
+        for f in range(loc.size):
+            nxt = _thread(loc, heads, f)
+            if nxt:
+                w2 = word + (f,)
+                yield w2
+                yield from rec(w2, nxt)
+
+    yield from rec((), frozenset(loc.objects))
+
+
+def invert_word(pg, w):
+    return tuple(pg.inv[x] for x in reversed(w))
+
+
+def validate_partial_group(pg, k):
+    """Check PG1-PG4 on words of length <= k (exactly, via the group axioms,
+    when the domain is provably full)."""
+    if pg.is_full_domain:
+        return validate_full(pg)
+    return validate_bounded(pg, k)
+
+
+def validate_full(pg):
+    failures = []
+    n = pg.size
+    e = pg.identity
+
+    def add(axiom, witness):
+        failures.append(CheckFailure(axiom, witness))
+        return len(failures) >= MAX_FAILURES
+
+    for i in range(n):
+        if pg.pair(e, i) != i or pg.pair(i, e) != i:
+            if add("identity", f"1*{pg.labels[i]} or {pg.labels[i]}*1 wrong"):
+                return ValidationReport(False, failures)
+        if pg.pair(pg.inv[i], i) != e or pg.pair(i, pg.inv[i]) != e:
+            if add("PG4", f"inverse of {pg.labels[i]} fails"):
+                return ValidationReport(False, failures)
+        if pg.inv[pg.inv[i]] != i:
+            add("inversion", f"inv not involutory at {pg.labels[i]}")
+    for i in range(n):
+        for j in range(n):
+            ij = pg.pair(i, j)
+            if ij is None:
+                if add("PG1", f"pair {pg.label_word((i, j))} undefined on a full domain"):
+                    return ValidationReport(False, failures)
+                continue
+            for l in range(n):
+                jl = pg.pair(j, l)
+                if pg.pair(ij, l) != pg.pair(i, jl):
+                    if add("PG3", "associativity fails at "
+                           f"{pg.label_word((i, j, l))}"):
+                        return ValidationReport(False, failures)
+    return ValidationReport(not failures, failures)
+
+
+def validate_bounded(pg, k):
+    failures = []
+
+    def add(axiom, witness):
+        if len(failures) < MAX_FAILURES:
+            failures.append(CheckFailure(axiom, witness))
+        return len(failures) >= MAX_FAILURES
+
+    def done():
+        return ValidationReport(False, failures)
+
+    if not pg.word_in_domain(()):
+        add("PG1", "empty word not in D")
+    else:
+        if pg.product(()) != pg.identity:
+            add("PG4", "Pi(()) is not the identity")
+    for f in range(pg.size):
+        if not pg.word_in_domain((f,)):
+            if add("PG1", f"length-1 word ({pg.labels[f]},) not in D"):
+                return done()
+    for x in range(pg.size):
+        if pg.inv[pg.inv[x]] != x:
+            add("inversion", f"inv not involutory at {pg.labels[x]}")
+
+    for w in iter_domain_words(pg, k):
+        if not w:
+            continue
+        try:
+            pw = pg.product(w)
+        except UndefinedProductError as exc:
+            if add("PG3", f"word {pg.label_word(w)} in D but fold undefined: {exc}"):
+                return done()
+            continue
+        if len(w) == 1 and pw != w[0]:
+            if add("PG2", f"Pi({pg.label_word(w)}) = {pg.labels[pw]} != {pg.labels[w[0]]}"):
+                return done()
+        # PG1: prefix/suffix closure
+        for cut in range(len(w) + 1):
+            u, v = w[:cut], w[cut:]
+            if not pg.word_in_domain(u) or not pg.word_in_domain(v):
+                if add("PG1", f"split {pg.label_word(u)} | {pg.label_word(v)} of "
+                       f"{pg.label_word(w)} leaves D"):
+                    return done()
+        # PG3: substitute every contiguous subword by its product
+        for i in range(len(w)):
+            for j in range(i + 1, len(w) + 1):
+                v = w[i:j]
+                try:
+                    pv = pg.product(v)
+                except UndefinedProductError:
+                    if add("PG1", f"subword {pg.label_word(v)} of {pg.label_word(w)} "
+                           "not in D"):
+                        return done()
+                    continue
+                w2 = w[:i] + (pv,) + w[j:]
+                if not pg.word_in_domain(w2):
+                    if add("PG3", f"substituted word {pg.label_word(w2)} not in D "
+                           f"(from {pg.label_word(w)})"):
+                        return done()
+                    continue
+                if pg.product(w2) != pw:
+                    if add("PG3", f"Pi({pg.label_word(w2)}) != Pi({pg.label_word(w)})"):
+                        return done()
+        # PG4
+        wi = invert_word(pg, w)
+        if not pg.word_in_domain(wi + w):
+            if add("PG4", f"w^-1*w not in D for w = {pg.label_word(w)}"):
+                return done()
+        elif pg.product(wi + w) != pg.identity:
+            if add("PG4", f"Pi(w^-1*w) != 1 for w = {pg.label_word(w)}"):
+                return done()
+    return ValidationReport(not failures, failures)
+
+
+def check_cancellation(pg, k=3):
+    """Derived laws: inserting the identity and cancelling v, v^-1.
+
+    (a) if u*v in D then u*(1)*v in D with equal products;
+    (b) if u*(x)*(x^-1)*v in D then u*v in D with equal products.
+    """
+    failures = []
+    for w in iter_domain_words(pg, k):
+        for cut in range(len(w) + 1):
+            w1 = w[:cut] + (pg.identity,) + w[cut:]
+            if not pg.word_in_domain(w1) or pg.product(w1) != pg.product(w):
+                failures.append(CheckFailure("cancel-a", pg.label_word(w)))
+        for i, x in enumerate(w):
+            w2 = w[: i + 1] + (pg.inv[x],) + w[i + 1:]
+            if pg.word_in_domain(w2):
+                w3 = w[:i] + w[i + 1:]
+                if not pg.word_in_domain(w3) or pg.product(w3) != pg.product(w2):
+                    failures.append(CheckFailure("cancel-b", pg.label_word(w2)))
+        if len(failures) >= MAX_FAILURES:
+            break
+    return failures
+
+
+def bounded_chain_mismatch(loc, k):
+    """The least word of length <= k on which `iter_domain_words` and
+    `chain_domain_words` part, with the side that yields it, or None.
+
+    Both walks are depth-first with letters in increasing order, so both
+    yield their words sorted; the first position where they part holds the
+    least word of the symmetric difference."""
+    walks = itertools.zip_longest(iter_domain_words(loc.pg, k),
+                                  chain_domain_words(loc, k))
+    for via_sw, via_chains in walks:
+        if via_sw != via_chains:
+            if via_chains is None or (via_sw is not None and via_sw < via_chains):
+                return via_sw, "S_w test only"
+            return via_chains, "chain search only"
+    return None
+
+
+def validate_by_words(loc, k):
+    """The definition of a locality checked on words: the structural checks,
+    PG1-PG4 on words up to length k, and the domain against the chain
+    definition up to length min(k, 3) (at every length when the domain is
+    provably full).  A `locality.LocalityReport` with the checks of
+    `locality.validate_locality`, made without a carrier."""
+    structure = locality_structure_checks(loc)
+    pg_report = validate_partial_group(loc.pg, k)
+    mismatch = None if loc.proven_full else bounded_chain_mismatch(loc, min(k, 3))
+    detail = "; ".join(pg_report.witness_lines()[:MAX_FAILURES])
+    dom_detail = "" if mismatch is None else (
+        f"word {loc.pg.label_word(mismatch[0])} in {mismatch[1]}")
+    checks = (LocalityCheck("partial-group", pg_report.ok, detail), *structure,
+              LocalityCheck("domain-matches-chains", mismatch is None, dom_detail))
+    return LocalityReport(all(c.ok for c in checks), checks, pg_report)
+
+
+def _word(pg, word):
+    return "(" + ", ".join(pg.labels[g] for g in word) + ")"
+
+
+def _obj(loc, P):
+    return "{" + ", ".join(loc.pg.labels[x] for x in sorted(P)) + "}"
+
+
+def word_law_walk(loc, full_conj, k):
+    """(ok, witness) for each word law of the locality suite, from a walk
+    over every word of length <= k that keeps its own S_w dicts."""
+    pg = loc.pg
+    ok_dom, dom_wit = True, ""
+    ok_sub, sub_wit = True, ""
+    ok_conj, conj_wit = True, ""
+    ok_norm, norm_wit = True, ""
+    normalizers = {P: loc.n_of(P) for P in loc.objects}
+
+    def visit(word, cur):
+        nonlocal ok_dom, dom_wit, ok_sub, sub_wit, ok_conj, conj_wit
+        nonlocal ok_norm, norm_wit
+        s_w = frozenset(cur)
+        in_dom = s_w in loc.object_set
+        if in_dom != pg.word_in_domain(word):
+            ok_dom, dom_wit = False, f"domain disagreement at {_word(pg, word)}"
+            return
+        if in_dom:
+            try:
+                prod = pg.product(word)
+            except UndefinedProductError:
+                ok_dom, dom_wit = False, (f"{_word(pg, word)} is in the domain "
+                                          "but its product fold breaks")
+                return
+            if not s_w <= pg.s_f(prod):
+                ok_sub, sub_wit = False, (
+                    f"S of {_word(pg, word)} is not inside S of its product "
+                    f"{pg.labels[prod]}")
+            else:
+                cp = pg.conj_maps[prod]
+                if any(cp[x] != cur[x] for x in cur):
+                    ok_conj, conj_wit = False, (
+                        f"conjugation along {_word(pg, word)} differs from "
+                        f"conjugation by {pg.labels[prod]}")
+            if ok_sub and ok_conj and len(word) >= 2:
+                for X0 in loc.objects:
+                    if not X0 <= s_w:
+                        continue
+                    if not chain_matches(word, prod, normalizers[X0], full_conj):
+                        ok_norm, norm_wit = False, (
+                            f"composite conjugation along {_word(pg, word)} "
+                            f"differs on the normalizer of {_obj(loc, X0)}")
+                        break
+
+    def walk(word, cur):
+        if len(word) == k:
+            return
+        for g in range(loc.size):
+            conj = pg.conj_maps[g]
+            nxt = {x: conj[img] for x, img in cur.items() if img in conj}
+            w2 = word + (g,)
+            visit(w2, nxt)
+            walk(w2, nxt)
+
+    walk((), {x: x for x in pg.s_members})
+    return [(ok_dom, dom_wit), (ok_sub, sub_wit), (ok_conj, conj_wit),
+            (ok_norm, norm_wit)]
+
+
+def chain_matches(word, prod, normalizer, full_conj):
+    direct = full_conj[prod]
+    for x in normalizer:
+        cur = x
+        for g in word:
+            step = full_conj[g]
+            if cur not in step:
+                return False
+            cur = step[cur]
+        if direct.get(x) != cur:
+            return False
+    return True

@@ -1,13 +1,14 @@
 """The carrier certificate of L_Delta(M), its product walk, and the word
-scans it replaces, kept here as oracles.
+scans of `oracles` as their reference.
 
 `locality.carrier_certificate` proves the partial-group axioms,
 cancellation and the word laws at every length from the ambient group, and
 `locality.chain_product_walk` compares the domain table with the chain
-definition at every length.  The bounded scans they replace must agree
-with them on every fixture, and each corruption of a locality that keeps
-its carrier must fail the certificate with a witness and fall back to the
-word scans, with the same verdict as the same corruption without a carrier.
+definition at every length.  The bounded word scans must agree with them
+on every fixture.  Each corruption of a locality that keeps its carrier
+must fail the certificate, and so `validate_locality`, with a witness; the
+word scans of the same corruption without a carrier say whether the
+defect is one of the partial group or only of the carrier.
 """
 
 import itertools
@@ -15,17 +16,17 @@ import os
 
 import pytest
 
+from loclab import locality
 from loclab.fixtures import build_fixture
 from loclab.locality import (
     Locality,
     carrier_certificate,
-    chain_domain_words,
     chain_product_walk,
     validate_locality,
 )
-from loclab.partial import _validate_bounded, _validate_full, check_cancellation
-from loclab.verify import _whole_conjugation_table, _word_law_walk
+from loclab.verify import _whole_conjugation_table
 
+import oracles
 from test_locality import _mutate
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -64,26 +65,31 @@ def _threaded(loc: Locality, w) -> bool:
 def test_bounded_scans_agree_with_the_certificate(name, k):
     loc = _fresh(name)
     pg = loc.pg
-    assert validate_locality(loc, k).pg_report.mode == "carrier"
+    assert validate_locality(loc, k).ok
     certificate = carrier_certificate(loc)
-    assert certificate.ok and certificate.bound is None, certificate.witness_lines()
+    assert certificate.ok, certificate.witness_lines()
     assert chain_product_walk(loc) is None
 
-    assert _validate_bounded(pg, k).ok
+    assert oracles.validate_bounded(pg, k).ok
     if loc.proven_full:
-        assert _validate_full(pg).ok
-    assert check_cancellation(pg, k=k) == []
-    laws = _word_law_walk(loc, _whole_conjugation_table(loc), k)
+        assert oracles.validate_full(pg).ok
+    assert oracles.check_cancellation(pg, k=k) == []
+    laws = oracles.word_law_walk(loc, _whole_conjugation_table(loc), k)
     assert laws == [(True, "")] * 4
-    assert list(pg.iter_domain_words(k)) == list(chain_domain_words(loc, k))
+    assert (list(oracles.iter_domain_words(pg, k))
+            == list(oracles.chain_domain_words(loc, k)))
 
 
-def test_certified_validation_is_kept_for_every_bound():
-    loc = _fresh("s5/L")
+def test_certified_validation_is_kept_for_every_bound(monkeypatch):
+    certified = []
+    real = locality.carrier_certificate
+    monkeypatch.setattr(locality, "carrier_certificate",
+                        lambda loc: certified.append(loc) or real(loc))
+    loc = _fresh("s5/L")  # the build certifies it
     report = validate_locality(loc, 3)
-    assert report.ok and report.pg_report.mode == "carrier"
-    assert report.pg_report.bound is None
+    assert report.ok and not report.pg_report.failures
     assert all(validate_locality(loc, k) is report for k in (1, 2, 4, 9))
+    assert certified == [loc]
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +143,16 @@ def test_product_walk_sees_past_the_bounded_merge():
     # the certificate and the structural checks read words of length <= 2
     fresh = Locality(loc.pg, loc.p, ambient=loc.ambient, carrier=loc.carrier)
     report = validate_locality(fresh, 3)
-    assert report.pg_report.mode == "carrier"
+    assert report.pg_report.ok
     assert [c.name for c in report.failing()] == ["domain-matches-chains"]
     assert report.failing()[0].detail == (
         f"word {loc.pg.label_word(w)} in S_w test only")
+    # the bounded merge of the word scans misses it; without a carrier the
+    # walk still names it, beside the missing certificate
+    assert oracles.bounded_chain_mismatch(fresh, 3) is None
     bare = Locality(loc.pg, loc.p)
-    assert "domain-matches-chains" not in {
-        c.name for c in validate_locality(bare, 3).failing()}
+    assert [c.name for c in validate_locality(bare, 3).failing()] == [
+        "partial-group", "domain-matches-chains"]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +217,10 @@ MUTATION_CASES = [(name, what) for name in ("s5/L", "s4/Lplus")
 
 @pytest.mark.parametrize("name, what", MUTATION_CASES)
 def test_corruption_fails_the_certificate_and_falls_back(name, what):
+    """The certificate fails and `validate_locality` reports its witness.
+    The reference word scans, run on the carrier-free copy, fall back to
+    the definition: every corruption but the carrier's own is a defect of
+    the partial group."""
     loc = _fresh(name)
     changes, carrier, witness = CORRUPTIONS[what](loc)
     bad = Locality(_mutate(loc.pg, **changes), loc.p, ambient=loc.ambient,
@@ -219,8 +232,7 @@ def test_corruption_fails_the_certificate_and_falls_back(name, what):
     assert witness in certificate.failures[0].witness
 
     report = validate_locality(bad, 3)
-    assert report.pg_report.mode in ("bounded", "group-axioms")
-    expected = validate_locality(bare, 3)
-    assert report.ok == expected.ok
-    assert report.lines() == expected.lines()
-    assert report.ok == (what == "carrier injectivity")
+    assert not report.ok
+    check = next(c for c in report.checks if c.name == "partial-group")
+    assert not check.ok and witness in check.detail
+    assert oracles.validate_by_words(bare, 3).ok == (what == "carrier injectivity")

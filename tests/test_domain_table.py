@@ -17,7 +17,6 @@ from loclab.fixtures import build_fixture
 from loclab.groups import parse_group
 from loclab.locality import (
     Locality,
-    chain_domain_words,
     locality_from_group,
     restriction,
     validate_locality,
@@ -96,9 +95,9 @@ def test_domain_words_follow_the_dict_walk_in_depth_first_order(name):
             w for n in range(k + 1)
             for w in itertools.product(range(pg.size), repeat=n)
             if oracles.s_of_word_reference(pg, w) in pg.object_set)
-        assert list(pg.iter_domain_words(k)) == expected
-        # validate_locality merges the two walks on this order
-        assert list(chain_domain_words(loc, k)) == expected
+        assert list(oracles.iter_domain_words(pg, k)) == expected
+        # oracles.bounded_chain_mismatch merges the two walks on this order
+        assert list(oracles.chain_domain_words(loc, k)) == expected
 
 
 @pytest.mark.parametrize("name, order, side", [
@@ -111,9 +110,10 @@ def test_domain_check_names_the_least_disagreeing_word(name, order, side):
     bad = Locality(_mutate(pg, objects=[P for P in pg.objects if P != dropped]), 2)
     check = next(c for c in validate_locality(bad, k=3).checks
                  if c.name == "domain-matches-chains")
-    via_sw = set(bad.pg.iter_domain_words(3))
-    via_chains = set(chain_domain_words(bad, 3))
-    w = min(via_sw ^ via_chains)
+    via_sw = set(oracles.iter_domain_words(bad.pg, 3))
+    via_chains = set(oracles.chain_domain_words(bad, 3))
+    # chain_product_walk is breadth first: the shortlex-least word
+    w = min(via_sw ^ via_chains, key=lambda v: (len(v), v))
     assert (w in via_sw) == (side == "S_w test only")
     assert not check.ok
     assert check.detail == f"word {bad.pg.label_word(w)} in {side}"

@@ -18,6 +18,7 @@ from loclab.locality import (
     restriction,
     validate_locality,
 )
+from loclab.transporter import locality_of_transporter, transporter_of_locality
 
 import oracles
 
@@ -169,7 +170,7 @@ def test_s5_carrier_and_pairs_match_oracle(s5):
     # length <= 2 words agree with the literal chain search
     naive = oracles.naive_chain_words(s5, by_meet, objs, 2)
     amb = dict(enumerate(loc.carrier))
-    ours = {tuple(amb[x] for x in w) for w in loc.pg.iter_domain_words(2)}
+    ours = {tuple(amb[x] for x in w) for w in oracles.iter_domain_words(loc.pg, 2)}
     assert ours == set(naive)
     assert len(ours) == 1129  # 1 empty + 40 singles + 1088 pairs
 
@@ -307,11 +308,14 @@ def test_corrupt_pair_value_is_detected(s5):
                    if table[k] != pg.identity and k[0] != pg.identity
                    and k[1] != pg.identity))
     table[(a, b)] = pg.identity  # wrong product
-    bad = Locality(_mutate(pg, pair_table=table), 2)
+    bad = Locality(_mutate(pg, pair_table=table), 2, ambient=loc.ambient,
+                   carrier=loc.carrier)
     rep = validate_locality(bad, k=3)
     assert not rep.ok
-    names = {c.name for c in rep.failing()}
-    assert names & {"partial-group", "conjugation-maps-match-table"}
+    failing = {c.name: c for c in rep.failing()}
+    # the carrier certificate compares the pair with the product in M
+    assert failing["partial-group"].detail.startswith(
+        f"product: the table gives {pg.label_word((a, b))} = ")
     assert all(c.detail for c in rep.failing())
 
 
@@ -320,7 +324,8 @@ def test_dropped_object_is_detected(s4):
     loc = locality_from_group(s4, 2, [v4n, d8])
     pg = loc.pg
     only_d8 = [P for P in pg.objects if len(P) == 8]
-    bad = Locality(_mutate(pg, objects=only_d8), 2)
+    bad = Locality(_mutate(pg, objects=only_d8), 2, ambient=loc.ambient,
+                   carrier=loc.carrier)
     # the pair table still has products whose S_w is the dropped V4
     rep = validate_locality(bad, k=2)
     assert not rep.ok
@@ -339,7 +344,8 @@ def test_extra_pair_is_detected(s5):
     prod = next(g for g in range(pg.size)
                 if pg.labels[g] == "(4 5)")  # arbitrary wrong target
     table[(a, b)] = prod
-    bad = Locality(_mutate(pg, pair_table=table), 2)
+    bad = Locality(_mutate(pg, pair_table=table), 2, ambient=loc.ambient,
+                   carrier=loc.carrier)
     rep = validate_locality(bad, k=3)
     assert not rep.ok
     assert "pair-table-matches-domain" in {c.name for c in rep.failing()}
@@ -353,7 +359,8 @@ def test_shrunken_s_fails_maximality(s4):
     v4_pg = next(P for P in pg.objects if len(P) == 4)
     maps = [{x: y for x, y in m.items() if x in v4_pg and y in v4_pg}
             for m in pg.conj_maps]
-    bad = Locality(_mutate(pg, s_members=v4_pg, objects=[v4_pg], conj_maps=maps), 2)
+    bad = Locality(_mutate(pg, s_members=v4_pg, objects=[v4_pg], conj_maps=maps), 2,
+                   ambient=loc.ambient, carrier=loc.carrier)
     rep = validate_locality(bad, k=2)
     assert not rep.ok
     assert "s-maximal" in {c.name for c in rep.failing()}
@@ -364,14 +371,31 @@ def test_corrupt_conjugation_map_fails_maximality():
     closed under products; s-maximal fails with a witness, no crash."""
     path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "s5.json")
     bundle, _ = build_fixture(path, k=2)
-    pg = bundle.localities["L"].pg
+    loc = bundle.localities["L"]
+    pg = loc.pg
     s = sorted(pg.s_members)
     maps = [dict(m) for m in pg.conj_maps]
     maps[s[1]][s[1]] = s[2]
-    bad = Locality(_mutate(pg, conj_maps=maps), 2)
+    bad = Locality(_mutate(pg, conj_maps=maps), 2, ambient=loc.ambient,
+                   carrier=loc.carrier)
     rep = validate_locality(bad, k=2)
     assert not rep.ok
     failing = {c.name: c for c in rep.failing()}
     assert "s-maximal" in failing
     assert failing["s-maximal"].detail.startswith("N_L(S) is not a group")
     assert all(c.detail for c in rep.failing())
+
+
+def test_carrier_free_locality_fails_with_a_named_reason():
+    """The transporter bridge of the s4 locality has no ambient group, so
+    no certificate covers it: the partial-group check fails and names the
+    reason, and every other check passes.  The word scans of the oracles
+    find no defect in it."""
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "s4.json")
+    bundle, _ = build_fixture(path, k=2)
+    bridge = locality_of_transporter(transporter_of_locality(bundle.localities["Lplus"]))
+    assert bridge.ambient is None and bridge.carrier is None
+    rep = validate_locality(bridge, k=3)
+    assert [(c.name, c.detail) for c in rep.failing()] == [
+        ("partial-group", "certificate: no ambient group M and carrier into it")]
+    assert oracles.validate_by_words(bridge, 3).ok

@@ -1,30 +1,33 @@
-"""Each thing is checked once: structure in the constructors, words at the
-caller's bound.
+"""Each thing is checked once: structure in the constructors, the
+definition by one certificate per locality.
 
 The transporter bridge and `normal.quotient` run only
 `locality.locality_structure_checks`; they scan no word.  `validate_locality`
-keeps its report on the Locality: one carrier certificate answers every
-word length, and a passing word scan answers its own length and every
-shorter one.  `transporter_of_locality` keeps its system, and
-`aut_transporter` its list on the system, so one call of the program
-certifies or scans, bridges and lifts each locality once.  The word scans
-the bridge no longer makes are kept here as tests.
+has one path, the carrier certificate and the product walk, and keeps its
+report on the Locality, which answers every word length.
+`transporter_of_locality` keeps its system, `aut_transporter` its list on
+the system and `enumerate_partial_normal` its family on the Locality, so
+one call of the program certifies, bridges, lifts and enumerates each
+locality once.  No word scan is left in the program; the scans of
+`oracles` check the bridges and quotients here.
 """
 
+import json
 import os
 
 import pytest
 
-from loclab import cli, fixtures, locality, transporter, verify
+from loclab import cli, fixtures, locality, normal, partial, transporter, verify
 from loclab.fixtures import build_fixture
 from loclab.locality import Locality, locality_structure_checks, validate_locality
-from loclab.normal import enumerate_partial_normal, quotient
+from loclab.normal import NormalError, enumerate_partial_normal, quotient
 from loclab.transporter import (
     aut_transporter,
     locality_of_transporter,
     transporter_of_locality,
 )
 
+import oracles
 import test_normal
 from test_locality import _mutate
 
@@ -46,45 +49,37 @@ def _fresh(name: str) -> Locality:
 
 def _without_carrier(loc: Locality) -> Locality:
     """The same locality on a fresh partial group, with no ambient group or
-    carrier, so that `validate_locality` scans words."""
+    carrier, so that no certificate covers it."""
     return Locality(_mutate(loc.pg), loc.p)
 
 
 @pytest.fixture
 def validations(monkeypatch):
-    """Validations per (ChainPartialGroup, path): the path is "carrier" for
-    a carrier certificate and the word length k for a word scan.  The
+    """Carrier certificates per ChainPartialGroup id, as [pg, count].  The
     partial groups are kept alive so that no id is reused while counting."""
-    seen: dict[tuple[int, object], list] = {}
-    real_scan = locality.validate_partial_group
+    seen: dict[int, list] = {}
     real_certificate = locality.carrier_certificate
 
-    def scan(pg, k):
-        seen.setdefault((id(pg), k), [pg, 0])[1] += 1
-        return real_scan(pg, k)
-
     def certify(loc):
-        seen.setdefault((id(loc.pg), "carrier"), [loc.pg, 0])[1] += 1
+        seen.setdefault(id(loc.pg), [loc.pg, 0])[1] += 1
         return real_certificate(loc)
 
-    monkeypatch.setattr(locality, "validate_partial_group", scan)
     monkeypatch.setattr(locality, "carrier_certificate", certify)
     return seen
 
 
 @pytest.fixture
-def word_walks(monkeypatch):
-    """Names of the word walks of the suites, one entry per call."""
-    called: list[str] = []
-    for name in ("check_cancellation", "_word_law_walk", "_chain_matches"):
-        real = getattr(verify, name)
+def enumerations(monkeypatch):
+    """Number of partial normal families computed."""
+    done = [0]
+    real = normal._partial_normal_family
 
-        def counting(*args, _name=name, _real=real, **kwargs):
-            called.append(_name)
-            return _real(*args, **kwargs)
+    def counting(loc):
+        done[0] += 1
+        return real(loc)
 
-        monkeypatch.setattr(verify, name, counting)
-    return called
+    monkeypatch.setattr(normal, "_partial_normal_family", counting)
+    return done
 
 
 @pytest.fixture
@@ -112,7 +107,7 @@ def test_bridge_scans_no_word(name, validations):
 @pytest.mark.parametrize("name", FIXTURE_LOCS)
 def test_bridge_passes_the_word_scan(name):
     bridge = locality_of_transporter(transporter_of_locality(_fresh(name)))
-    assert validate_locality(bridge, k=BRIDGE_SCAN_K[name]).ok
+    assert oracles.validate_by_words(bridge, BRIDGE_SCAN_K[name]).ok
 
 
 def _normal_test_quotients():
@@ -155,101 +150,103 @@ def test_dropped_pair_fails_the_structure_checks():
     assert all(c.detail for c in failing.values())
 
 
-def test_report_scans_each_locality_once_per_bound(validations, word_walks,
-                                                   systems, capsys):
+def test_report_scans_each_locality_once_per_bound(validations, systems, capsys):
     assert cli.main(["report", os.path.join(FIXTURE_DIR, "s4.json")]) == 0
     capsys.readouterr()
     # one certificate for each locality: Lcr as built, Lplus, and the
-    # restriction of Lplus that replaces Lcr; no word scan
-    assert [path for _, path in validations] == ["carrier"] * 3
-    assert max(n for _, n in validations.values()) == 1
-    assert not word_walks
+    # restriction of Lplus that replaces Lcr
+    assert [n for _, n in validations.values()] == [1, 1, 1]
     # Lcr, Lplus and the full subcategory of Lplus on the objects of Lcr
     assert systems[0] == 3
 
 
-def test_bridge_suites_scan_only_at_the_given_bound(validations, monkeypatch,
-                                                    capsys):
+def test_report_enumerates_partial_normals_once_per_locality(enumerations,
+                                                             capsys):
+    """theoremC enumerates both localities of the pair, and the partial
+    normal listing asks again for each; the families are kept."""
+    assert cli.main(["report", os.path.join(FIXTURE_DIR, "s4.json")]) == 0
+    capsys.readouterr()
+    assert enumerations[0] == 2
+
+
+def test_bridge_suites_only_certify(validations, capsys):
     path = os.path.join(FIXTURE_DIR, "d8.json")
-
-    def run_suites():
-        for suite in ("transporter", "exactseq"):
-            assert cli.main(["verify", suite, path, "--max-word-len", "2"]) == 0
-        capsys.readouterr()
-
-    run_suites()
-    assert {path for _, path in validations} == {"carrier"}
-    validations.clear()
-    # without a carrier the same calls scan words, at the given bound only
-    build = fixtures.locality_from_group
-    monkeypatch.setattr(fixtures, "locality_from_group",
-                        lambda *args, **kwargs: _without_carrier(build(*args, **kwargs)))
-    run_suites()
-    assert {path for _, path in validations} == {2}
-
-
-def test_verify_locality_validates_once(validations, capsys):
-    """The build certifies at k=3 and the locality suite asks again at the
-    k=2 its word budget allows; the certificate answers both."""
-    path = os.path.join(BENCH_FIXTURE_DIR, "s6.json")
-    assert cli.main(["verify", "locality", path]) == 0
+    for suite in ("transporter", "exactseq"):
+        assert cli.main(["verify", suite, path, "--max-word-len", "2"]) == 0
     capsys.readouterr()
-    assert [(p, n) for (_, p), (_, n) in validations.items()] == [("carrier", 1)]
+    # one build per call, one certificate per build; the bridges make none
+    assert [n for _, n in validations.values()] == [1, 1]
 
 
-def test_verify_axioms_certifies_without_scanning(validations, word_walks, capsys):
-    assert cli.main(["verify", "axioms",
-                     os.path.join(BENCH_FIXTURE_DIR, "psl27.json")]) == 0
-    capsys.readouterr()
-    assert [(p, n) for (_, p), (_, n) in validations.items()] == [("carrier", 1)]
-    assert not word_walks
-
-
-def test_uncertified_suites_walk_words(word_walks, monkeypatch, capsys):
-    """The word walks still run where no certificate applies."""
+def test_carrier_free_fixture_fails_the_build(validations, monkeypatch, capsys):
+    """Without a carrier no certificate runs, and the build names why."""
     build = fixtures.locality_from_group
     monkeypatch.setattr(fixtures, "locality_from_group",
                         lambda *args, **kwargs: _without_carrier(build(*args, **kwargs)))
     path = os.path.join(FIXTURE_DIR, "a4.json")
     for suite in ("axioms", "locality"):
-        assert cli.main(["verify", suite, path, "--max-word-len", "2"]) == 0
+        assert cli.main(["verify", suite, path, "--max-word-len", "2"]) == 1
+        failed = json.loads(capsys.readouterr().out)["sections"][0]["checks"][-1]
+        assert (failed["name"], failed["ok"]) == ("L validates", False)
+        assert failed["detail"] == ("partial-group: certificate: no ambient "
+                                    "group M and carrier into it")
+    assert not validations
+
+
+def test_verify_locality_validates_once(validations, capsys):
+    """The build validates at k=3 and the locality suite asks again at the
+    k=2 its word budget allows; one certificate answers both."""
+    path = os.path.join(BENCH_FIXTURE_DIR, "s6.json")
+    assert cli.main(["verify", "locality", path]) == 0
     capsys.readouterr()
-    assert {"check_cancellation", "_word_law_walk", "_chain_matches"} <= set(word_walks)
+    assert [n for _, n in validations.values()] == [1]
 
 
-def test_a_passing_scan_answers_shorter_bounds(validations):
+def test_verify_axioms_certifies_without_scanning(validations, capsys):
+    assert cli.main(["verify", "axioms",
+                     os.path.join(BENCH_FIXTURE_DIR, "psl27.json")]) == 0
+    capsys.readouterr()
+    assert [n for _, n in validations.values()] == [1]
+
+
+def test_no_word_scan_is_left_in_the_program():
+    scans = ("validate_partial_group", "_validate_bounded", "_validate_full",
+             "check_cancellation", "invert_word", "chain_domain_words",
+             "_bounded_chain_mismatch", "_word_law_walk", "_chain_matches")
+    for module in (locality, verify, partial):
+        assert not [name for name in scans if hasattr(module, name)], module
+    assert not hasattr(locality.ChainPartialGroup, "iter_domain_words")
+
+
+def test_one_report_answers_every_bound(validations):
+    """A locality keeps one report, passing or failing, for every k."""
     bare = _without_carrier(_fresh("s5/L"))
-    validations.clear()
     report = validate_locality(bare, 3)
-    assert report.ok and report.pg_report.mode == "bounded"
-    assert validate_locality(bare, 2) is report
-    assert validate_locality(bare, 3) is report
-    assert [path for _, path in validations] == [3]
+    assert not report.ok
+    assert all(validate_locality(bare, k) is report for k in (1, 2, 4))
 
-
-def test_a_failing_scan_answers_only_its_bound(validations):
-    pg = _fresh("s5/L").pg
+    loc = _fresh("s5/L")
+    pg = loc.pg
     s = sorted(pg.s_members)
     maps = [dict(m) for m in pg.conj_maps]
     maps[s[1]][s[1]] = s[2]
-    bad = Locality(_mutate(pg, conj_maps=maps), 2)
+    bad = Locality(_mutate(pg, conj_maps=maps), 2, ambient=loc.ambient,
+                   carrier=loc.carrier)
     validations.clear()
     report = validate_locality(bad, 2)
     assert not report.ok
-    assert validate_locality(bad, 2) is report
-    assert validate_locality(bad, 1) is not report
-    assert sorted(path for _, path in validations) == [1, 2]
+    assert all(validate_locality(bad, k) is report for k in (1, 2, 3))
+    assert [n for _, n in validations.values()] == [1]
 
 
 def test_memos_are_kept_per_instance():
     loc = _fresh("s4/Lplus")
-    # with a carrier, one certificate answers every bound
+    # one report answers every bound, with or without a carrier
     assert validate_locality(loc, 1) is validate_locality(loc, 2)
-    assert validate_locality(loc, 1).pg_report.mode == "carrier"
-    # without one, a scan at k=1 does not answer k=2
+    assert validate_locality(loc, 1).ok
     bare = _without_carrier(loc)
-    assert validate_locality(bare, 1) is validate_locality(bare, 1)
-    assert validate_locality(bare, 1) is not validate_locality(bare, 2)
+    assert validate_locality(bare, 1) is validate_locality(bare, 2)
+    assert validate_locality(bare, 1) is not validate_locality(loc, 1)
     T = transporter_of_locality(loc)
     assert transporter_of_locality(loc) is T
     assert transporter_of_locality(_fresh("s4/Lplus")) is not T
@@ -258,3 +255,12 @@ def test_memos_are_kept_per_instance():
     second = aut_transporter(T)
     assert second and second == aut_transporter(T)
     assert second is not aut_transporter(T)
+    # the partial normal family: a fresh list per call, the cap every time
+    family = enumerate_partial_normal(loc)
+    family.clear()
+    again = enumerate_partial_normal(loc)
+    assert again and again == enumerate_partial_normal(loc)
+    assert again is not enumerate_partial_normal(loc)
+    with pytest.raises(NormalError, match="exceeds cap"):
+        enumerate_partial_normal(loc, cap=loc.size - 1)
+    assert enumerate_partial_normal(_fresh("s4/Lplus")) is not again
