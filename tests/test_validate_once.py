@@ -218,8 +218,23 @@ def test_no_word_scan_is_left_in_the_program():
     assert not hasattr(locality.ChainPartialGroup, "iter_domain_words")
 
 
-def test_one_report_answers_every_bound(validations):
-    """A locality keeps one report, passing or failing, for every k."""
+def test_a_passing_scan_answers_shorter_bounds(validations):
+    """A passing report, made once by the certificate, answers its own k and
+    every shorter one."""
+    built = _fresh("s5/L")
+    # a copy the build has not validated
+    loc = Locality(_mutate(built.pg), built.p, ambient=built.ambient,
+                   carrier=built.carrier)
+    validations.clear()
+    report = validate_locality(loc, 3)
+    assert report.ok and report.pg_report.ok
+    assert validate_locality(loc, 2) is report
+    assert validate_locality(loc, 3) is report
+    assert [n for _, n in validations.values()] == [1]
+
+
+def test_a_failing_report_answers_every_bound(validations):
+    """A failing report, with or without a carrier, answers every k."""
     bare = _without_carrier(_fresh("s5/L"))
     report = validate_locality(bare, 3)
     assert not report.ok
