@@ -11,9 +11,16 @@ the bridge back to the word-based localities, which conjugate on the
 right, performs the orientation flip in exactly one place, marked in
 _locality_bridge.
 
-A locality keeps its system and the system keeps its bridge and its
-automorphisms, so each is built and checked once.  The bridge scans no
-word; `_build_locality` says where its word-level guarantee comes from.
+A locality keeps its system and the system keeps its bridge, its
+automorphisms, its image factorisations and the verdict on every functor
+out of it, so each is built and checked once.  That is sound because a
+system is never changed after construction.  The bridge scans no word;
+`_build_locality` says where its word-level guarantee comes from.
+
+Each system also keeps a generating set of its morphisms.  Associativity
+(`transporter_defect`) and functoriality (`functor_defect`) are checked
+on it, at a cost of about |generators|·|Mor| lookups instead of one per
+composable pair or triple.
 """
 
 from __future__ import annotations
@@ -42,7 +49,9 @@ class TransporterSystem:
     associated fusion system on the same tokens, morphism arrays src and
     dst (object indices), g_labels (display names), pi (one conjugation
     dict per morphism), compose[(later, earlier)], and delta keyed by
-    (src_idx, dst_idx, token).
+    (src_idx, dst_idx, token).  `generators` is the greedy generating
+    set of `_generating_set`.  The tables are not changed after
+    construction: the memos kept on the system rely on that.
     """
 
     def __init__(self, p: int, s_labels: Sequence[str],
@@ -68,13 +77,19 @@ class TransporterSystem:
         self.delta = dict(delta)
         self._loc_cache = None
         self._auts: tuple[CategoryFunctor, ...] | None = None
+        self._image_factors: tuple[tuple[int, int], ...] | None = None
+        self._verdicts: dict[tuple, bool] = {}
 
         n = len(self.s_labels)
         self.s_identity = next(e for e in range(n)
                                if all(self.s_mul[e][x] == x for x in range(n)))
         self._by_pair: dict[tuple[int, int], list[int]] = {}
+        self._leaving: dict[int, list[int]] = {}
+        self._arriving: dict[int, list[int]] = {}
         for m in range(len(self.src)):
             self._by_pair.setdefault((self.src[m], self.dst[m]), []).append(m)
+            self._leaving.setdefault(self.src[m], []).append(m)
+            self._arriving.setdefault(self.dst[m], []).append(m)
         self.incl = {}
         for i in range(len(self.objects)):
             for j in range(len(self.objects)):
@@ -89,6 +104,7 @@ class TransporterSystem:
                     k == self.identity_ids.get(self.src[i]) and
                     self.compose.get((i, j)) == self.identity_ids.get(self.src[j])):
                 self._inverse[i] = j
+        self.generators = _generating_set(self)
         defect = transporter_defect(self)
         if defect is not None:
             raise TransporterError(defect)
@@ -147,6 +163,12 @@ class TransporterSystem:
             raise TransporterError("internal: morphism has no image factor")
         return part, r_idx
 
+    def _image_factor_table(self) -> tuple[tuple[int, int], ...]:
+        if self._image_factors is None:
+            self._image_factors = tuple(self.image_factor(m)
+                                        for m in range(self.mor_count))
+        return self._image_factors
+
     # -- the bridge to localities -------------------------------------------
 
     def _locality_bridge(self):
@@ -163,18 +185,78 @@ def _pi_tuple(T: TransporterSystem, m: int) -> tuple[int, ...]:
     return tuple(T.pi[m][x] for x in P)
 
 
+def _generating_set(T: TransporterSystem) -> tuple[int, ...]:
+    """Each morphism, in id order, that is not yet a composite of the
+    ones chosen before it.  Composites are taken in the table as it
+    stands, under any bracketing, so the set generates even a table
+    that is not associative.  Each morphism joins the closure once and
+    is then composed with every morphism already in it, on both sides."""
+    reached: set[int] = set()
+    leaving: dict[int, list[int]] = {}
+    arriving: dict[int, list[int]] = {}
+    gens = []
+
+    def reach(m, queue):
+        if m is not None and m not in reached:
+            reached.add(m)
+            leaving.setdefault(T.src[m], []).append(m)
+            arriving.setdefault(T.dst[m], []).append(m)
+            queue.append(m)
+
+    for m in range(T.mor_count):
+        if m in reached:
+            continue
+        gens.append(m)
+        queue: list[int] = []
+        reach(m, queue)
+        while queue:
+            x = queue.pop()
+            for y in tuple(leaving.get(T.dst[x], ())):
+                reach(T.compose.get((y, x)), queue)
+            for y in tuple(arriving.get(T.src[x], ())):
+                reach(T.compose.get((x, y)), queue)
+    return tuple(gens)
+
+
+def _associativity_defect(T: TransporterSystem) -> str | None:
+    """Light's test: (x∘g)∘y = x∘(g∘y) for every generator g and all
+    composable x, y."""
+    compose = T.compose
+    for g in T.generators:
+        before = T._arriving.get(T.src[g], ())
+        after = T._leaving.get(T.dst[g], ())
+        for y in before:
+            g_y = compose[(g, y)]
+            for x in after:
+                if compose[(compose[(x, g)], y)] != compose[(x, g_y)]:
+                    return "composition is not associative"
+    return None
+
+
 def transporter_defect(T: TransporterSystem) -> str | None:
     """Why the tables fail the transporter category axioms, else None.
 
     The checks cover: the object family is closed under fusion-system
-    conjugacy and overgroups; delta and pi are functors with the window
-    and projection properties; conjugation inside S is reflected by
-    delta and projected by pi; the projection is surjective with fibers
-    permuted freely by the kernel of pi on the target automorphism
-    group; the image of S is Sylow in Aut(S); isomorphisms extend along
-    normalizing overgroups; and every morphism is monic and epic.
-    Associativity of the composition table is verified when the
-    category is small enough for the cubic scan.
+    conjugacy and overgroups; the composition table is total on
+    composable pairs, unital and associative; delta and pi are functors
+    with the window and projection properties; conjugation inside S is
+    reflected by delta and projected by pi; the projection is surjective
+    with fibers permuted freely by the kernel of pi on the target
+    automorphism group; the image of S is Sylow in Aut(S); isomorphisms
+    extend along normalizing overgroups; and every morphism is monic and
+    epic.
+
+    Associativity is Light's test on `T.generators` (Clifford–Preston,
+    *The Algebraic Theory of Semigroups* I, §1.2).  Call g good when
+    (x∘g)∘y = x∘(g∘y) for all composable x, y.  If a and b are good
+    and composable, then for all x, y
+        (x∘(a∘b))∘y = ((x∘a)∘b)∘y = (x∘a)∘(b∘y)
+                    = x∘(a∘(b∘y)) = x∘((a∘b)∘y),
+    each step using only that a or b is good.  So the good morphisms are
+    closed under composition.  They include the generators, so they are
+    every morphism, and the table is associative.  The check is exact at
+    every size and costs one lookup pair per generator and composable
+    pair around it.
     """
     F = T.fusion
     n_obj = len(T.objects)
@@ -200,10 +282,11 @@ def transporter_defect(T: TransporterSystem) -> str | None:
             return "composition table pairs morphisms that do not meet"
         if T.src[k] != T.src[i] or T.dst[k] != T.dst[j]:
             return "composite has the wrong endpoints"
-    for j in range(T.mor_count):
-        for i in range(T.mor_count):
-            if T.dst[i] == T.src[j] and (j, i) not in T.compose:
-                return "composition table is missing a composable pair"
+    # every key meets, so the table is total when it has as many keys as
+    # there are composable pairs
+    if len(T.compose) != sum(len(ins) * len(T._leaving.get(q, ()))
+                             for q, ins in T._arriving.items()):
+        return "composition table is missing a composable pair"
     for i in range(T.mor_count):
         ide = T.identity_ids.get(T.src[i])
         if ide is None or T.compose[(i, ide)] != i:
@@ -211,13 +294,9 @@ def transporter_defect(T: TransporterSystem) -> str | None:
         ide = T.identity_ids.get(T.dst[i])
         if ide is None or T.compose[(ide, i)] != i:
             return "identity morphism fails on the left"
-    if T.mor_count <= 200:
-        for (j, i) in T.compose:
-            for k in range(T.mor_count):
-                if T.dst[k] == T.src[i]:
-                    if (T.compose[(T.compose[(j, i)], k)] !=
-                            T.compose[(j, T.compose[(i, k)])]):
-                        return "composition is not associative"
+    defect = _associativity_defect(T)
+    if defect is not None:
+        return defect
 
     # the window functor delta
     for (p_idx, q_idx, s), m in T.delta.items():
@@ -735,23 +814,38 @@ class CategoryFunctor:
 
 
 def functor_defect(alpha: CategoryFunctor) -> str | None:
+    """Why the maps are not a functor, else None.
+
+    Every morphism's image must have the image endpoints, and identities
+    must go to identities.  Composition is checked on generators only:
+    F(g∘x) = F(g)∘F(x) for each g in `src.generators` and every x with
+    dst(x) = src(g).  That is exact.  Every morphism a is a right-nested
+    composite g1∘(g2∘(...∘gk)) of generators, and by induction on k
+        F(a∘x) = F(g1∘(a'∘x)) = F(g1)∘F(a'∘x) = F(g1)∘(F(a')∘F(x))
+               = (F(g1)∘F(a'))∘F(x) = F(a)∘F(x),
+    where a' = g2∘(...∘gk).  The first step regroups in the source and
+    the fourth in the target, so the argument needs both categories
+    associative; `transporter_defect` proves that of every system.
+    """
     T, U = alpha.src, alpha.dst
+    F = alpha.morphism_map
     if len(alpha.object_map) != len(T.objects):
         return "object map has the wrong length"
-    if len(alpha.morphism_map) != T.mor_count:
+    if len(F) != T.mor_count:
         return "morphism map has the wrong length"
     for m in range(T.mor_count):
-        m2 = alpha.morphism_map[m]
+        m2 = F[m]
         if (U.src[m2] != alpha.object_map[T.src[m]] or
                 U.dst[m2] != alpha.object_map[T.dst[m]]):
             return "morphism images have the wrong endpoints"
     for i, ide in T.identity_ids.items():
-        if alpha.morphism_map[ide] != U.identity_ids[alpha.object_map[i]]:
+        if F[ide] != U.identity_ids[alpha.object_map[i]]:
             return "identities are not preserved"
-    for (j, i), k in T.compose.items():
-        if (U.compose[(alpha.morphism_map[j], alpha.morphism_map[i])] !=
-                alpha.morphism_map[k]):
-            return "composition is not preserved"
+    for g in T.generators:
+        f_g = F[g]
+        for x in T._arriving.get(T.src[g], ()):
+            if U.compose[(f_g, F[x])] != F[T.compose[(g, x)]]:
+                return "composition is not preserved"
     return None
 
 
@@ -795,9 +889,17 @@ def classify_functor(alpha: CategoryFunctor) -> dict:
 
 
 def is_transporter_iso(alpha: CategoryFunctor) -> bool:
-    flags = classify_functor(alpha)
-    return (flags["functor"] and flags["equivalence"] and
+    """Whether alpha is an isotypical, inclusion-preserving equivalence.
+    The verdict is kept on the source system, keyed by the target and
+    both maps, so each functor is classified once."""
+    key = (alpha.dst, tuple(alpha.object_map), tuple(alpha.morphism_map))
+    verdict = alpha.src._verdicts.get(key)
+    if verdict is None:
+        flags = classify_functor(alpha)
+        verdict = alpha.src._verdicts[key] = (
+            flags["functor"] and flags["equivalence"] and
             flags["isotypical"] and flags["inclusion_preserving"])
+    return verdict
 
 
 def identity_functor(T: TransporterSystem) -> CategoryFunctor:
@@ -894,8 +996,7 @@ def _functor_from_locality_aut(T: TransporterSystem,
         tokens = frozenset(sigma[s_class[t]] for t in P)
         obj_map.append(T.object_index(frozenset(token_back[c] for c in tokens)))
     mor_map = []
-    for m in range(T.mor_count):
-        part, r_idx = T.image_factor(m)
+    for m, (part, r_idx) in enumerate(T._image_factor_table()):
         c2 = sigma[class_of[part]]
         key = (obj_map[T.src[m]], obj_map[r_idx], c2)
         if key not in iso_by:
@@ -915,7 +1016,10 @@ def aut_transporter(T: TransporterSystem) -> list[CategoryFunctor]:
     """All isotypical inclusion-preserving self-equivalences, obtained
     by lifting the automorphisms of the associated locality; at desk
     scale the list is cross-checked against direct enumeration.  The list
-    is kept on T; each call hands out a fresh copy."""
+    is kept on T, as are the verdict of `is_transporter_iso` on each
+    functor and the image factorisation of each morphism; T is not
+    changed after construction, so these stay valid.  Each call hands
+    out a fresh copy of the list."""
     if T._auts is None:
         loc, _, _, _, _ = T._locality_bridge()
         out = [_functor_from_locality_aut(T, sigma)

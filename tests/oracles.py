@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's algorithms: closures are computed by
 fixpoint iteration over full product tables, subgroup enumeration by subset
-closure, fusion by direct conjugation in the ambient permutation group, and
-partial-normal enumeration by power-set scan.  They are slow and only run at
+closure, fusion by direct conjugation in the ambient permutation group,
+partial-normal enumeration by power-set scan, and associativity and
+functoriality of transporter systems by scans over every composable triple
+or pair instead of a generating set.  They are slow and only run at
 tiny scale.
 
 The word scans at the end check a locality the way the definition reads:
@@ -236,6 +238,41 @@ def locality_automorphisms_reference(loc):
             if iso_defect(loc, loc, full) is None:
                 out.append(full)
     return sorted(set(out))
+
+
+def associativity_reference(T):
+    """The cubic scan: (j∘i)∘k = j∘(i∘k) for every composable triple of
+    the transporter system T, whatever its size."""
+    for (j, i) in T.compose:
+        for k in range(T.mor_count):
+            if T.dst[k] == T.src[i]:
+                if (T.compose[(T.compose[(j, i)], k)] !=
+                        T.compose[(j, T.compose[(i, k)])]):
+                    return "composition is not associative"
+    return None
+
+
+def functor_defect_reference(alpha):
+    """`functor_defect` by the full scan: endpoints, identities, and
+    F(j∘i) = F(j)∘F(i) on every composable pair, with no generators."""
+    T, U = alpha.src, alpha.dst
+    if len(alpha.object_map) != len(T.objects):
+        return "object map has the wrong length"
+    if len(alpha.morphism_map) != T.mor_count:
+        return "morphism map has the wrong length"
+    for m in range(T.mor_count):
+        m2 = alpha.morphism_map[m]
+        if (U.src[m2] != alpha.object_map[T.src[m]] or
+                U.dst[m2] != alpha.object_map[T.dst[m]]):
+            return "morphism images have the wrong endpoints"
+    for i, ide in T.identity_ids.items():
+        if alpha.morphism_map[ide] != U.identity_ids[alpha.object_map[i]]:
+            return "identities are not preserved"
+    for (j, i), k in T.compose.items():
+        if (U.compose[(alpha.morphism_map[j], alpha.morphism_map[i])] !=
+                alpha.morphism_map[k]):
+            return "composition is not preserved"
+    return None
 
 
 def blockwise_partial_normals(pg):

@@ -1,9 +1,11 @@
-"""`loclab report` bytes against the golden record of the benchmark.
+"""`loclab` report bytes against the golden record of the benchmark.
 
-Runs `cli.main(["report", fixture])` in-process on the small fixtures and
-compares the exit code and the sha256 of stdout with the "report <name>"
-entries of `bench/golden.json`, which is only read here.  The reports do
-not depend on PYTHONHASHSEED, so the hashes hold in any test process.
+Runs `cli.main` in-process and compares the exit code and the sha256 of
+stdout with the entries of `bench/golden.json`, which is only read here:
+`report` on the small fixtures, and the calls of the benchmark that run
+transporter code on the larger ones.  A key is the call's arguments with
+the fixture's name in place of its path.  The reports do not depend on
+PYTHONHASHSEED, so the hashes hold in any test process.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import pytest
 from loclab import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
+FIXTURE_DIRS = [os.path.join(ROOT, "fixtures"),
+                os.path.join(ROOT, "bench", "fixtures")]
 
 with open(os.path.join(ROOT, "bench", "golden.json")) as fh:
     GOLDEN = json.load(fh)
@@ -27,3 +31,27 @@ def test_report_bytes_match_the_golden_record(name, capsys):
     expected = GOLDEN[f"report {name}"]
     assert code == expected["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == expected["sha256"]
+
+
+def _argv(key):
+    """The arguments of a golden key, with the fixture's path for its name."""
+    args = key.split()
+    at = 2 if args[0] == "verify" else 1
+    paths = (os.path.join(d, f"{args[at]}.json") for d in FIXTURE_DIRS)
+    args[at] = next(p for p in paths if os.path.exists(p))
+    return args
+
+
+@pytest.mark.parametrize("key", [
+    "report a6pair",
+    "verify transporter s4",
+    "verify transporter d8",
+    "verify exactseq s4",
+    "verify exactseq d8",
+    "verify exactseq psl27 --max-word-len 2",
+])
+def test_transporter_calls_match_the_golden_record(key, capsys):
+    code = cli.main(_argv(key))
+    out = capsys.readouterr().out
+    assert code == GOLDEN[key]["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[key]["sha256"]

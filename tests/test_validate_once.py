@@ -8,8 +8,10 @@ report on the Locality, which answers every word length.
 `transporter_of_locality` keeps its system, `aut_transporter` its list on
 the system and `enumerate_partial_normal` its family on the Locality, so
 one call of the program certifies, bridges, lifts and enumerates each
-locality once.  No word scan is left in the program; the scans of
-`oracles` check the bridges and quotients here.
+locality once.  A system also keeps its image factorisations and the
+verdict on each functor, so each functor is classified once.  No word
+scan is left in the program; the scans of `oracles` check the bridges and
+quotients here.
 """
 
 import json
@@ -96,6 +98,35 @@ def systems(monkeypatch):
     return built
 
 
+@pytest.fixture
+def classified(monkeypatch):
+    """Every functor classified, as (src, dst, object_map, morphism_map)."""
+    seen = []
+    real = transporter.classify_functor
+
+    def counting(alpha):
+        seen.append((alpha.src, alpha.dst, alpha.object_map,
+                     alpha.morphism_map))
+        return real(alpha)
+
+    monkeypatch.setattr(transporter, "classify_functor", counting)
+    return seen
+
+
+@pytest.fixture
+def image_factors(monkeypatch):
+    """image_factor calls per TransporterSystem id, as [system, count]."""
+    seen: dict[int, list] = {}
+    real = transporter.TransporterSystem.image_factor
+
+    def counting(self, m):
+        seen.setdefault(id(self), [self, 0])[1] += 1
+        return real(self, m)
+
+    monkeypatch.setattr(transporter.TransporterSystem, "image_factor", counting)
+    return seen
+
+
 @pytest.mark.parametrize("name", FIXTURE_LOCS)
 def test_bridge_scans_no_word(name, validations):
     loc = _fresh(name)
@@ -167,6 +198,17 @@ def test_report_enumerates_partial_normals_once_per_locality(enumerations,
     assert cli.main(["report", os.path.join(FIXTURE_DIR, "s4.json")]) == 0
     capsys.readouterr()
     assert enumerations[0] == 2
+
+
+def test_report_checks_each_functor_once(classified, image_factors, capsys):
+    """The lifted, inner and directly enumerated automorphisms, and the
+    checks of lambda_map and out_typ, meet the same functors again and
+    again; each is classified once, and each morphism factored once."""
+    assert cli.main(["report", os.path.join(FIXTURE_DIR, "s4.json")]) == 0
+    capsys.readouterr()
+    assert len(classified) == len(set(classified)) == 16
+    assert image_factors
+    assert all(n <= T.mor_count for T, n in image_factors.values())
 
 
 def test_bridge_suites_only_certify(validations, capsys):
