@@ -25,7 +25,7 @@ import time
 from .extension import locality_automorphisms, rigid_automorphisms
 from .fixtures import FixtureBundle, FixtureError, build_fixture
 from .groups import subgroup_lattice
-from .normal import NormalError, enumerate_partial_normal
+from .normal import ENUM_CAP, NormalError, enumerate_partial_normal
 from .reports import Report, Section, render
 from .transporter import (
     inner_auts,
@@ -54,9 +54,8 @@ def _parser() -> argparse.ArgumentParser:
                         "check holds at all lengths (default 3)")
     common.add_argument("--enum-cap", type=int, default=None, metavar="N",
                         help="largest locality for partial normal "
-                        "enumeration and longest automorphism list "
-                        "(default 512); also the word budget that shortens "
-                        "the quoted length")
+                        "enumeration (also in theoremC) and longest "
+                        "automorphism list (default 512)")
 
     b = sub.add_parser("build", parents=[common],
                        help="construct and validate a fixture")
@@ -154,7 +153,7 @@ def _enumerate(bundle: FixtureBundle, what: str, name: str | None,
             f"{', '.join(ENUM_TARGETS)}")
     section = Section(f"enumerate {what}")
     locs = _pick(bundle, name)
-    cap = enum_cap if enum_cap is not None else 512
+    cap = enum_cap if enum_cap is not None else ENUM_CAP
 
     if what == "subgroups":
         view = next(iter(locs.values()))  # all localities share S

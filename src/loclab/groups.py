@@ -7,7 +7,9 @@ addressed by index into a canonically ordered element list, so every
 operation is deterministic.
 
 All subgroup-valued functions return `Subgroup` objects with sorted member
-tuples; all enumerations are sorted.
+tuples; all enumerations are sorted.  Member sets are closed by one
+routine, the coset walk `_adjoin`, which adjoins one element to a closed
+subgroup; a closure from scratch is a fold of it over the seed.
 """
 
 from __future__ import annotations
@@ -206,36 +208,32 @@ def parse_group(doc: dict) -> Group:
 
 
 def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup containing seed, as a sorted index tuple."""
-    members = {group.identity}
-    frontier = list(members)
-    seeds = sorted(set(seed))
-    for s in seeds:
-        if s not in members:
-            members.add(s)
-            frontier.append(s)
-    while frontier:
-        new = []
-        for x in frontier:
-            for y in list(members):
-                for z in (group.mul(x, y), group.mul(y, x)):
-                    if z not in members:
-                        members.add(z)
-                        new.append(z)
-            ix = group.inv(x)
-            if ix not in members:
-                members.add(ix)
-                new.append(ix)
-        frontier = new
-    return tuple(sorted(members))
+    """Smallest subgroup containing seed, as a sorted index tuple.
+
+    A fold of `_adjoin` over the sorted seed: each seed element outside the
+    span so far is adjoined by the coset walk and becomes a generator.
+    """
+    members: tuple[int, ...] = (group.identity,)
+    span = {group.identity}
+    gens: list[int] = []
+    for s in sorted(set(seed)):
+        if s not in span:
+            members = _adjoin(group, members, gens, s)
+            span = set(members)
+            gens.append(s)
+    return members
 
 
 def _adjoin(group: FiniteGroup, members: tuple[int, ...], gens: Sequence[int],
             g: int) -> tuple[int, ...]:
     """<A, g> for a closed member tuple A with generating set `gens`.
 
-    Walks right cosets of A: much cheaper than a fresh closure because the
-    coset of a new representative is filled in with |A| products.
+    Dimino's coset walk (Butler, LNCS 559, 1991): the result is a union of
+    right cosets A r.  A new coset representative t = r s (s a generator)
+    fills its whole coset with |A| products, and only representatives are
+    multiplied by the generators, so no pair of members is formed.  This is
+    the one member-set closure for groups: `subgroup_closure`,
+    `generating_sequence`, `subgroup_lattice` and the Sylow search use it.
     """
     out = set(members)
     steps = list(gens) + [g]
@@ -429,13 +427,17 @@ def quotient_group(group: FiniteGroup, normal: Subgroup) -> tuple[TableGroup, di
 
 
 def generating_sequence(group: FiniteGroup) -> list[int]:
-    """Greedy small generating sequence (canonical: least new generator first)."""
+    """Greedy small generating sequence (canonical: least new generator first).
+
+    The span grows by `_adjoin` with each new generator.
+    """
     gens: list[int] = []
-    span = {group.identity}
+    span: tuple[int, ...] = (group.identity,)
     while len(span) < group.order:
-        nxt = min(i for i in group.indices() if i not in span)
+        have = set(span)
+        nxt = min(i for i in group.indices() if i not in have)
+        span = _adjoin(group, span, gens, nxt)
         gens.append(nxt)
-        span = set(subgroup_closure(group, gens))
     return gens
 
 

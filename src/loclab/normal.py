@@ -26,6 +26,9 @@ from .locality import (ChainPartialGroup, Locality, _UnionFind,
 from .partial import generated_partial_subgroup, subgroup_table_group
 
 
+ENUM_CAP = 512  # largest carrier whose partial normal family is enumerated
+
+
 class NormalError(ValueError):
     pass
 
@@ -107,24 +110,25 @@ def _as_partial_normal(loc: Locality, members: frozenset[int]) -> PartialNormalS
 def normal_closure(loc: Locality, seed: Iterable[int]) -> PartialNormalSet:
     """Smallest partial normal subgroup of the locality containing seed.
 
-    Alternates subgroup closure (inverses and defined pair products) with
-    a sweep adding every defined conjugate, until nothing new appears.
+    One pass of `generated_partial_subgroup`, with the defined conjugates
+    x^g of each new member x as its extra images.
     """
-    pg = loc.pg
-    members = {pg.identity, *seed}
-    while True:
-        grown = set(generated_partial_subgroup(pg, members))
-        for g in range(pg.size):
-            for x in sorted(grown):
-                y = pg.conj(x, g)
-                if y is not None:
-                    grown.add(y)
-        if grown == members:
-            return _as_partial_normal(loc, frozenset(members))
-        members = grown
+    members = generated_partial_subgroup(loc.pg, seed, _conjugates(loc.pg))
+    return _as_partial_normal(loc, members)
 
 
-def enumerate_partial_normal(loc: Locality, cap: int = 512) -> list[PartialNormalSet]:
+def _conjugates(pg: ChainPartialGroup):
+    """x -> the defined conjugates x^g (g in L), each x computed once."""
+    memo: dict[int, set[int]] = {}
+
+    def images(x: int) -> set[int]:
+        if x not in memo:
+            memo[x] = {pg.conj(x, g) for g in range(pg.size)} - {None}
+        return memo[x]
+    return images
+
+
+def enumerate_partial_normal(loc: Locality, cap: int = ENUM_CAP) -> list[PartialNormalSet]:
     """All partial normal subgroups of the locality, by order and members.
 
     Every partial normal subgroup is the join of the closures of the
@@ -140,9 +144,15 @@ def enumerate_partial_normal(loc: Locality, cap: int = 512) -> list[PartialNorma
 
 
 def _partial_normal_family(loc: Locality) -> tuple[PartialNormalSet, ...]:
-    atoms = sorted({normal_closure(loc, (x,)).members for x in range(loc.size)},
+    """Joins of the element closures (atoms), grown from the trivial
+    subgroup.  A join extends the closed `base` by one atom, so only the
+    pairs with a new member are formed."""
+    pg = loc.pg
+    conj = _conjugates(pg)
+    atoms = sorted({generated_partial_subgroup(pg, (x,), conj)
+                    for x in range(loc.size)},
                    key=lambda m: (len(m), sorted(m)))
-    trivial = frozenset({loc.pg.identity})
+    trivial = frozenset({pg.identity})
     found = {trivial}
     frontier = [trivial]
     while frontier:
@@ -151,7 +161,7 @@ def _partial_normal_family(loc: Locality) -> tuple[PartialNormalSet, ...]:
             for atom in atoms:
                 if atom <= base:
                     continue
-                joined = normal_closure(loc, base | atom).members
+                joined = generated_partial_subgroup(pg, atom, conj, closed=base)
                 if joined not in found:
                     found.add(joined)
                     fresh.append(joined)
@@ -404,15 +414,17 @@ def is_invariant_subsystem(fus: FusionSystem, sub: FusionSystem) -> bool:
     return True
 
 
-def phi_map(plus: Locality, restr: Locality) -> list[tuple[PartialNormalSet, PartialNormalSet]]:
+def phi_map(plus: Locality, restr: Locality,
+            cap: int = ENUM_CAP) -> list[tuple[PartialNormalSet, PartialNormalSet]]:
     """Pair every partial normal subgroup of the larger locality with its
-    intersection with the restriction, translated into restriction indices."""
+    intersection with the restriction, translated into restriction indices.
+    `cap` bounds the enumeration as in `enumerate_partial_normal`."""
     if restr.parent is not plus:
         raise NormalError("second locality is not a restriction of the first")
     pi = restr.parent_index
     back = {p: i for i, p in enumerate(pi)}
     out = []
-    for n_plus in enumerate_partial_normal(plus):
+    for n_plus in enumerate_partial_normal(plus, cap):
         inter = frozenset(back[f] for f in n_plus.members if f in back)
         defect = partial_normal_defect(restr, inter)
         if defect is not None:
@@ -425,14 +437,16 @@ def phi_map(plus: Locality, restr: Locality) -> list[tuple[PartialNormalSet, Par
 
 def _product_with_t(loc: Locality, k_members: frozenset[int],
                     t: frozenset[int]) -> frozenset[int]:
-    """`_products_with`, asserted equal to the generated closure."""
+    """`_products_with`, asserted equal to the closure of T over the
+    partial normal subgroup K."""
     out = _products_with(loc, k_members, t)
-    if out != set(generated_partial_subgroup(loc.pg, k_members | t)):
+    if out != generated_partial_subgroup(loc.pg, t, closed=k_members):
         raise NormalError("internal: the product set is not already closed")
     return out
 
 
-def verify_normal_correspondence(plus: Locality, restr: Locality) -> dict:
+def verify_normal_correspondence(plus: Locality, restr: Locality,
+                                 cap: int = ENUM_CAP) -> dict:
     """Check the restriction correspondence between partial normal
     subgroup families.
 
@@ -442,7 +456,8 @@ def verify_normal_correspondence(plus: Locality, restr: Locality) -> dict:
     intersection is a bijection onto the restriction's family, it and
     its inverse preserve inclusion, the subgroup fusion systems agree
     whenever the small one is stable under the ambient system, and
-    multiplying by T commutes with the correspondence.
+    multiplying by T commutes with the correspondence.  `cap` bounds both
+    enumerations as in `enumerate_partial_normal`.
     """
     if restr.parent is not plus:
         raise NormalError("second locality is not a restriction of the first")
@@ -461,8 +476,8 @@ def verify_normal_correspondence(plus: Locality, restr: Locality) -> dict:
     if translated != fus_plus.hom_sets():
         raise NormalError("the two localities have different fusion systems")
 
-    pairs = phi_map(plus, restr)
-    independent = enumerate_partial_normal(restr)
+    pairs = phi_map(plus, restr, cap)
+    independent = enumerate_partial_normal(restr, cap)
     images = [n for _, n in pairs]
     report: dict = {
         "count_plus": len(pairs),

@@ -23,7 +23,7 @@ locality L_Delta(M) embeds in.  This module holds what that check reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 if TYPE_CHECKING:
     from .locality import ChainPartialGroup
@@ -63,28 +63,38 @@ MAX_FAILURES = 5
 # subgroups
 
 
-def generated_partial_subgroup(pg: ChainPartialGroup, seed: Iterable[int]) -> tuple[int, ...]:
-    """Closure of seed under inverses and defined pair products.
+def generated_partial_subgroup(pg: ChainPartialGroup, seed: Iterable[int],
+                               images: Callable[[int], Iterable[int | None]] | None = None,
+                               closed: Iterable[int] = ()) -> frozenset[int]:
+    """Smallest set holding the identity, seed and `closed` that is closed
+    under inverses, defined pair products and the optional extra `images`.
 
-    PG3 folding means pair products capture all defined word products.
+    The one member-set closure for partial groups, a worklist: each new
+    member is multiplied once on each side with itself and with every
+    member taken before it, and its inverse and images are added.  A pair
+    is formed only when its later member is taken, so no pair is formed
+    twice.  An undefined product or image (None) adds nothing.  `closed`
+    must already be closed under all of these: its members count as taken,
+    so only pairs with a new member are formed.  PG3 folding means pair
+    products capture all defined word products.
     """
-    members = {pg.identity}
-    members.update(seed)
-    frontier = sorted(members)
-    while frontier:
-        new = []
-        for x in frontier:
-            ix = pg.inv[x]
-            if ix not in members:
-                members.add(ix)
-                new.append(ix)
-            for y in sorted(members):
-                for cand in (pg.pair(x, y), pg.pair(y, x)):
-                    if cand is not None and cand not in members:
-                        members.add(cand)
-                        new.append(cand)
-        frontier = new
-    return tuple(sorted(members))
+    done = list(closed)
+    members = set(done)
+    todo = [x for x in sorted({pg.identity, *seed}) if x not in members]
+    members.update(todo)
+    while todo:
+        x = todo.pop()
+        done.append(x)
+        new = [pg.inv[x]]
+        for y in done:
+            new += (pg.pair(x, y), pg.pair(y, x))
+        if images is not None:
+            new += images(x)
+        for z in new:
+            if z is not None and z not in members:
+                members.add(z)
+                todo.append(z)
+    return frozenset(members)
 
 
 def subgroup_table_group(pg: ChainPartialGroup, members: Iterable[int]):

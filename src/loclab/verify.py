@@ -9,8 +9,9 @@ cancellation and the word laws follow at every length from
 `locality.validate_locality`: its carrier certificate checks L_Delta(M)
 against the group M, and `locality.chain_product_walk` the domain.  A
 locality the certificate does not cover fails these checks.  Every other
-law is checked by exhaustive evaluation.  The word length bound and its
-budget set only the length that the report lines quote.
+law is checked by exhaustive evaluation.  The word length bound sets only
+the length that the report lines quote; the enumeration cap bounds the
+partial normal enumeration of ``theoremC``.
 
 Suite names follow the workbench vocabulary: ``axioms``, ``locality``,
 ``fusion``, ``theoremA1`` (restriction of automorphisms), ``theoremC``
@@ -25,9 +26,8 @@ from typing import Callable
 from .extension import aut_restriction_report, iso_defect, locality_automorphisms
 from .fixtures import FixtureBundle
 from .fusion import fusion_from_group, fusion_from_locality
-from .groups import automorphisms
 from .locality import Locality, LocalityReport, validate_locality
-from .normal import NormalError, verify_normal_correspondence
+from .normal import ENUM_CAP, NormalError, verify_normal_correspondence
 from .reports import Report, Section
 from .transporter import (
     aut_transporter,
@@ -43,10 +43,6 @@ from .transporter import (
     transporter_of_locality,
 )
 
-DEFAULT_WORD_BUDGET = 200_000
-AXIOM_WORD_BUDGET = 1_000_000
-
-
 # ---------------------------------------------------------------------------
 # axioms
 
@@ -55,28 +51,14 @@ def axioms_suite(bundle: FixtureBundle, *, max_word_len: int = 4,
                  enum_cap: int | None = None) -> Section:
     """Partial group axioms and cancellation, both from the carrier
     certificate, which proves them at every length."""
-    budget = AXIOM_WORD_BUDGET if enum_cap is None else enum_cap
     section = Section("axioms")
     for name, loc in bundle.localities.items():
-        k = _scan_length(loc.size, max_word_len, budget)
-        if k < max_word_len:
-            section.note(f"{name}: word scan shortened to length {k} "
-                         f"(budget {budget})")
-        rep = validate_locality(loc, k).pg_report
+        rep = validate_locality(loc, max_word_len).pg_report
         detail = "" if rep.ok else rep.witness_lines()[0]
-        section.add(f"{name}: product axioms on words up to length {k}",
-                    rep.ok, detail)
+        section.add(f"{name}: product axioms on words up to length "
+                    f"{max_word_len}", rep.ok, detail)
         section.add(f"{name}: left and right cancellation", rep.ok, detail)
     return section
-
-
-def _scan_length(size: int, want: int, budget: int) -> int:
-    """The length quoted in the report lines: the wanted one, shortened
-    until size ** k fits the word budget."""
-    k = want
-    while k > 1 and size ** k > budget:
-        k -= 1
-    return k
 
 
 def _obj(loc: Locality, P) -> str:
@@ -90,10 +72,9 @@ def _obj(loc: Locality, P) -> str:
 def locality_suite(bundle: FixtureBundle, *, max_word_len: int = 3,
                    enum_cap: int | None = None) -> Section:
     """Definition checks plus the standard conjugation laws."""
-    budget = DEFAULT_WORD_BUDGET if enum_cap is None else enum_cap
     section = Section("locality")
     for name, loc in bundle.localities.items():
-        vep = validate_locality(loc, k=_scan_length(loc.size, max_word_len, budget))
+        vep = validate_locality(loc, k=max_word_len)
         bad = vep.failing()
         section.add(f"{name}: satisfies the locality definition", vep.ok,
                     f"{bad[0].name}: {bad[0].detail}" if bad else "")
@@ -102,7 +83,7 @@ def locality_suite(bundle: FixtureBundle, *, max_word_len: int = 3,
         full_conj = _whole_conjugation_table(loc)
         _normalizer_laws(section, name, loc, full_conj)
         _element_laws(section, name, loc, full_conj)
-        _word_laws(section, name, loc, vep, max_word_len, budget)
+        _word_laws(section, name, vep, max_word_len)
         _normalizer_of_s_laws(section, name, loc)
     return section
 
@@ -254,21 +235,17 @@ def _element_laws(section: Section, name: str, loc: Locality,
                 "inverse bijections between the two sided domains", ok_two, two_wit)
 
 
-def _word_laws(section: Section, name: str, loc: Locality,
-               vep: LocalityReport, max_word_len: int, enum_cap: int) -> None:
+def _word_laws(section: Section, name: str, vep: LocalityReport,
+               max_word_len: int) -> None:
     """Word laws: S_w decides membership, S_w lands in S_{product}, and
     conjugation along a word agrees with conjugation by its product.
 
     These hold at every length on a locality whose validation passed: its
     `chain_product_walk` gives the first law and its carrier certificate
-    the other three.  The first line quotes the length bound k, which
+    the other three.  The first line quotes the length bound, which
     changes only the wording."""
-    k = _scan_length(loc.size, max_word_len, enum_cap)
-    if k < max_word_len:
-        section.note(f"{name}: word scan shortened to length {k} "
-                     f"(budget {enum_cap})")
-    laws = (f"words up to length {k} are in the domain exactly when S_w is "
-            "an object",
+    laws = (f"words up to length {max_word_len} are in the domain exactly "
+            "when S_w is an object",
             "S_w embeds in S of the product",
             "conjugation along a word equals conjugation by its product on S_w",
             "composite normalizer conjugation equals conjugation by the product")
@@ -409,31 +386,9 @@ def aut_restriction_suite(bundle: FixtureBundle, *, max_word_len: int = 3,
 def _family_invariant(loc: Locality) -> bool:
     """The object family is stable under every fusion preserving
     automorphism of S."""
-    fus = fusion_from_locality(loc)
-    sg = loc.s_group()
-    homs = fus.hom_sets()
     fam = set(loc.pg.object_set)
-    for a in automorphisms(sg):
-        amap = {sg.tokens[i]: sg.tokens[a[i]] for i in range(sg.order)}
-        transported = {
-            (tuple(sorted(amap[x] for x in P)), tuple(sorted(amap[x] for x in Q))):
-            frozenset(tuple(amap[img[i]] for i in _argsort(P, amap))
-                      for img in embs)
-            for (P, Q), embs in homs.items()
-        }
-        if set(transported) != set(homs):
-            continue
-        if any(transported[key] != homs[key] for key in homs):
-            continue
-        if {frozenset(amap[x] for x in P) for P in fam} != fam:
-            return False
-    return True
-
-
-def _argsort(P, amap):
-    """Positions of P's entries in the sorted order of their images."""
-    order = sorted(range(len(P)), key=lambda i: amap[P[i]])
-    return order
+    return all({frozenset(alpha[x] for x in P) for P in fam} == fam
+               for alpha in fusion_from_locality(loc).fusion_automorphisms())
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +405,8 @@ def normal_suite(bundle: FixtureBundle, *, max_word_len: int = 3,
         plus = bundle.localities[big]
         restr = bundle.localities[small]
         try:
-            rep = verify_normal_correspondence(plus, restr)
+            rep = verify_normal_correspondence(
+                plus, restr, ENUM_CAP if enum_cap is None else enum_cap)
         except NormalError as exc:
             section.add(f"{small} <= {big}: correspondence applies", False, str(exc))
             continue

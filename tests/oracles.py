@@ -362,6 +362,25 @@ def span_reference(mul, identity, seed):
     return tuple(sorted(members))
 
 
+def partial_span_reference(pg, seed, images=lambda x: ()):
+    """The closure of seed and the identity under inverses, defined pair
+    products and `images`, by sweeping every pair of members until nothing
+    new appears."""
+    members = {pg.identity, *seed}
+    while True:
+        grown = set(members)
+        for a in members:
+            grown.add(pg.inv[a])
+            grown.update(y for y in images(a) if y is not None)
+            for b in members:
+                c = pg.pair(a, b)
+                if c is not None:
+                    grown.add(c)
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
 # ---------------------------------------------------------------------------
 # word scans
 

@@ -9,6 +9,7 @@ transporter-bridge localities and on a restriction; and they pin down
 what the memo keeps.
 """
 
+import json
 import os
 
 import pytest
@@ -126,3 +127,28 @@ def test_theorem_a1_and_enumeration_search_each_locality_once(search_counter,
     # each verb builds its own Lcr and Lplus, and searches each once
     assert len(counts) == 4
     assert max(counts) == 1
+
+
+D8_FOURS = {
+    "group": {"degree": 4, "generators": [[[1, 2, 3, 4]], [[1, 3]]]},
+    "p": 2,
+    "localities": {
+        "Lv": {"objects": {"mode": "explicit",
+                           "data": [[[[1, 2, 3, 4]], [[1, 3]]],
+                                    [[[1, 3]], [[2, 4]]]]}},
+        "Lall": {"objects": {"mode": "named", "data": "order-ge 4"}}},
+    "pairs": [["Lv", "Lall"]],
+}
+
+
+def test_a_family_moved_by_a_fusion_automorphism_fails_theorem_a1(tmp_path,
+                                                                  capsys):
+    """D8 over itself: the outer automorphism swaps the two Klein fours,
+    and Lv keeps only one of them."""
+    path = tmp_path / "d8fours.json"
+    path.write_text(json.dumps(D8_FOURS))
+    assert cli.main(["verify", "theoremA1", str(path)]) == 1
+    checks = json.loads(capsys.readouterr().out)["sections"][0]["checks"]
+    assert {c["name"]: c["ok"] for c in checks}[
+        "Lv <= Lall: object family of Lv is invariant under fusion "
+        "preserving automorphisms of S"] is False

@@ -490,3 +490,16 @@ def test_small_enum_cap_fails_the_enumeration_with_a_witness(verb, capsys):
          "ok": False, "detail": "carrier size 24 exceeds cap 10"}
         for name in ("Lcr", "Lplus")]
     assert not section.get("items")
+
+
+def test_enum_cap_bounds_the_theorem_c_enumerations(capsys):
+    """theoremC enumerates with the cap of the command line, not a fixed
+    one, and reports a carrier over the cap as a failing check."""
+    path = os.path.join(os.path.dirname(__file__), "..", "fixtures", "s4.json")
+    assert cli.main(["verify", "theoremC", path, "--enum-cap", "10"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sections"][0]["checks"] == [
+        {"name": "Lcr <= Lplus: correspondence applies", "ok": False,
+         "detail": "carrier size 24 exceeds cap 10"}]
+    assert cli.main(["verify", "theoremC", path, "--enum-cap", "24"]) == 0
+    capsys.readouterr()
