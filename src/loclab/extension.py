@@ -28,10 +28,21 @@ new certificate.
 
 `locality_automorphisms` and `rigid_automorphisms` keep the two sorted
 tuples of that search on the Locality instance, so each locality is
-searched at most once, and each call hands out a fresh list.  The
-per-element index of the pair table that the backtracking checks against
-lives only as long as one search: kept on the instance it would hold
-memory for every locality a report builds, for the life of the report.
+searched at most once, and each call hands out a fresh list.  The same
+memo keeps the automorphisms as a frozenset, so that deciding whether a
+map is a certified automorphism (`is_locality_automorphism`) is one
+lookup.  The per-element index of the pair table that the backtracking
+checks against lives only as long as one search: kept on the instance it
+would hold memory for every locality a report builds, for the life of
+the report.
+
+Group-level checks work on generators.  `automorphism_group` is Aut(L)
+as a generated group: the sorted tuple with a composition that looks
+each product up, and a generating sequence found by the coset walk of
+`groups.generating_sequence`.  No |Aut|² table is built.  An identity
+φ(a∘b) = φ(a)∘φ(b), such as the multiplicativity that
+`aut_restriction_report` checks, then holds for every a once it holds
+for each generator a and every b.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .fusion import fusion_from_locality
-from .groups import TableGroup, automorphisms
+from .groups import FiniteGroup, automorphisms, generating_sequence
 from .locality import ChainPartialGroup, Locality
 
 
@@ -97,15 +108,28 @@ def iso_defect(src: Locality, dst: Locality, alpha: Sequence[int]) -> str | None
     An isomorphism is a bijective map that is a homomorphism in both
     directions and matches the object families.
     """
-    if len(set(alpha)) != len(alpha) or len(alpha) != dst.size:
+    if not _is_bijection(dst, alpha):
         return "map is not a bijection"
-    defect = hom_defect(src, dst, alpha)
-    if defect is not None:
-        return defect
-    inverse = [0] * dst.size
+    return hom_defect(src, dst, alpha) or _converse_defect(src, dst, alpha)
+
+
+def _is_bijection(dst: Locality, alpha: Sequence[int]) -> bool:
+    return len(set(alpha)) == len(alpha) == dst.size
+
+
+def _inverse_map(alpha: Sequence[int]) -> tuple[int, ...]:
+    inverse = [0] * len(alpha)
     for f, g in enumerate(alpha):
         inverse[g] = f
-    defect = hom_defect(dst, src, inverse)
+    return tuple(inverse)
+
+
+def _converse_defect(src: Locality, dst: Locality,
+                     alpha: Sequence[int]) -> str | None:
+    """The part of `iso_defect` after the forward homomorphism check:
+    the inverse map is a homomorphism and the object families match.
+    alpha must be a bijection."""
+    defect = hom_defect(dst, src, _inverse_map(alpha))
     if defect is not None:
         return "inverse map: " + defect
     if _objects_image(src, alpha) != set(dst.object_set):
@@ -275,7 +299,10 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
     Candidates are exact: an automorphism's inverse is a homomorphism
     too, so condition (2) in both directions makes the conjugation map
     of the image of f the conjugation map of f transported along alpha_S.
-    Not memoised; `locality_automorphisms` and `rigid_automorphisms` are.
+    Every completion has passed `hom_defect` already, so only the rest of
+    `iso_defect` runs on it: bijectivity, the inverse map and the object
+    family.  Not memoised; `locality_automorphisms` and
+    `rigid_automorphisms` are.
     """
     pg = loc.pg
     index = _pair_index(pg)
@@ -291,7 +318,8 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
                  for f in free}
         return (full for full in _completions(loc, loc, alpha_s, cands, index,
                                                injective=True)
-                if iso_defect(loc, loc, full) is None)
+                if _is_bijection(loc, full)
+                and _converse_defect(loc, loc, full) is None)
 
     rigid = tuple(sorted(over({x: x for x in pg.s_members})))
     sg = loc.s_group()
@@ -310,6 +338,7 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
 def _memoised_search(loc: Locality) -> None:
     if loc._automorphisms is None:
         loc._automorphisms, loc._rigid_automorphisms = search_automorphisms(loc)
+        loc._automorphism_set = frozenset(loc._automorphisms)
 
 
 def locality_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
@@ -328,14 +357,60 @@ def rigid_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
     return list(loc._rigid_automorphisms)
 
 
+def is_locality_automorphism(loc: Locality, alpha: Sequence[int]) -> bool:
+    """Whether alpha is an automorphism of loc: membership in the set of
+    the memoised search, which certified each of its members."""
+    _memoised_search(loc)
+    return tuple(alpha) in loc._automorphism_set
+
+
 def compose_maps(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
     """Apply first, then second."""
     return tuple(second[g] for g in first)
 
 
-def automorphism_group(loc: Locality) -> TableGroup:
-    auts = locality_automorphisms(loc)
-    return TableGroup(auts, compose_maps, label_fn=lambda t: str(t))
+class AutomorphismGroup(FiniteGroup):
+    """Aut(L) as a group on its sorted image tuples, with a generating
+    sequence.
+
+    Index i stands for `tokens[i]`.  `mul(i, j)` applies tokens[i], then
+    tokens[j], and looks the composite up, so the view holds no |Aut|²
+    table.  A composite or inverse outside the set means the set is not
+    a group, which the certified search rules out; it raises an internal
+    ExtensionError.  `generators` is `groups.generating_sequence` of the
+    view: every element is a product of them.
+    """
+
+    def __init__(self, auts: Sequence[tuple[int, ...]]) -> None:
+        super().__init__()
+        self.tokens = tuple(auts)
+        self.order = len(self.tokens)
+        self._index = {a: i for i, a in enumerate(self.tokens)}
+        self.identity = self.index_of(tuple(range(len(self.tokens[0]))))
+        self._inv = tuple(self.index_of(_inverse_map(a)) for a in self.tokens)
+        self.generators = tuple(generating_sequence(self))
+
+    def index_of(self, alpha: tuple[int, ...]) -> int:
+        i = self._index.get(alpha)
+        if i is None:
+            raise ExtensionError("internal: the automorphisms are not closed "
+                                 "under composition and inversion")
+        return i
+
+    def mul(self, i: int, j: int) -> int:
+        return self.index_of(compose_maps(self.tokens[i], self.tokens[j]))
+
+    def label(self, i: int) -> str:
+        return str(self.tokens[i])
+
+
+def automorphism_group(loc: Locality) -> AutomorphismGroup:
+    """Aut(L) with its generating sequence, built once per Locality from
+    the memoised search."""
+    if loc._aut_group is None:
+        _memoised_search(loc)
+        loc._aut_group = AutomorphismGroup(loc._automorphisms)
+    return loc._aut_group
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +437,22 @@ def aut_restriction_report(plus: Locality, restr: Locality) -> dict:
     Returns a dict with the two automorphism lists, the restriction map,
     and flags for it being defined everywhere, injective, surjective and
     multiplicative.
+
+    Multiplicativity, r(a∘b) = r(a)∘r(b) for all a, b in Aut(L+), is
+    checked for a in the generating sequence of `automorphism_group` and
+    every b: |gens|·|Aut| lookups instead of |Aut|².  That is exact.  In
+    a finite group every a is a product of one or more generators (the
+    identity is g∘…∘g), so a = g or a = g∘a' with a' shorter, and by
+    induction on the length
+        r(a∘b) = r(g∘(a'∘b)) = r(g)∘r(a'∘b) = r(g)∘(r(a')∘r(b))
+               = (r(g)∘r(a'))∘r(b) = r(g∘a')∘r(b) = r(a)∘r(b).
+    The second and fifth steps are the generator check, against a'∘b
+    and against a'; the third is the induction hypothesis; the others
+    regroup compositions of maps.  Here a∘b applies a first, as
+    `compose_maps` does.  A trivial Aut(L+) has no generators and needs
+    no check, since restricting the identity gives the identity.  When
+    some restriction is undefined the flag stays True, as "defined"
+    already fails.
     """
     aut_plus = locality_automorphisms(plus)
     aut_small = locality_automorphisms(restr)
@@ -376,11 +467,10 @@ def aut_restriction_report(plus: Locality, restr: Locality) -> dict:
     image_set = {im for im in images if im is not None}
     multiplicative = True
     if defined:
-        for a, ia in zip(aut_plus, images):
-            for b, ib in zip(aut_plus, images):
-                ab = compose_maps(a, b)
-                if restrict_automorphism(plus, restr, ab) != compose_maps(ia, ib):
-                    multiplicative = False
+        group = automorphism_group(plus)
+        multiplicative = all(
+            images[group.mul(g, b)] == compose_maps(images[g], images[b])
+            for g in group.generators for b in group.indices())
     return {
         "aut_plus": aut_plus,
         "aut": aut_small,

@@ -236,12 +236,15 @@ class Locality:
         self.parent_index = parent_index
         self._s_group: TableGroup | None = None
         # memos of validate_locality (one report answers every k),
-        # transporter_of_locality, extension.locality_automorphisms and
-        # rigid_automorphisms, and normal.enumerate_partial_normal
+        # transporter_of_locality, extension's automorphism search (the
+        # sorted tuples, their set and the generated group view) and
+        # normal.enumerate_partial_normal
         self._validation: LocalityReport | None = None
         self._transporter = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
+        self._automorphism_set: frozenset[tuple[int, ...]] | None = None
+        self._aut_group = None
         self._partial_normals: tuple | None = None
 
     # -- basics ---------------------------------------------------------------

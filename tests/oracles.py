@@ -5,8 +5,11 @@ fixpoint iteration over full product tables, subgroup enumeration by subset
 closure, fusion by direct conjugation in the ambient permutation group,
 partial-normal enumeration by power-set scan, and associativity and
 functoriality of transporter systems by scans over every composable triple
-or pair instead of a generating set.  They are slow and only run at
-tiny scale.
+or pair instead of a generating set.  Two more scan what the library
+decides on generators: the multiplicativity of the restriction of
+automorphisms over every pair, and the automorphisms of a transporter
+system by the exhaustive search tree instead of a stabilizer chain.  They
+are slow and only run at tiny scale.
 
 The word scans at the end check a locality the way the definition reads:
 they list every word of the domain up to a length k and test PG1-PG4,
@@ -22,7 +25,13 @@ from __future__ import annotations
 import itertools
 
 from loclab import perm
-from loclab.extension import hom_completions, iso_defect
+from loclab.extension import (
+    compose_maps,
+    hom_completions,
+    iso_defect,
+    locality_automorphisms,
+    restrict_automorphism,
+)
 from loclab.groups import automorphisms
 from loclab.locality import (
     LocalityCheck,
@@ -36,6 +45,7 @@ from loclab.partial import (
     UndefinedProductError,
     ValidationReport,
 )
+from loclab.transporter import CategoryFunctor, TransporterError, is_transporter_iso
 
 
 def naive_closure(generators, degree):
@@ -273,6 +283,130 @@ def functor_defect_reference(alpha):
                 alpha.morphism_map[k]):
             return "composition is not preserved"
     return None
+
+
+def restriction_multiplicative_reference(plus, restr):
+    """Multiplicativity of the restriction Aut(plus) -> Aut(restr) by the
+    quadratic scan: r(a∘b) = r(a)∘r(b) for every pair, restricting each
+    composite afresh.  Every restriction must be defined."""
+    aut_plus = locality_automorphisms(plus)
+    images = [restrict_automorphism(plus, restr, a) for a in aut_plus]
+    multiplicative = True
+    for a, ia in zip(aut_plus, images):
+        for b, ib in zip(aut_plus, images):
+            ab = compose_maps(a, b)
+            if restrict_automorphism(plus, restr, ab) != compose_maps(ia, ib):
+                multiplicative = False
+    return multiplicative
+
+
+def functor_enumeration_reference(T):
+    """The isotypical, inclusion-preserving self-equivalences of T by the
+    exhaustive search: every object permutation, then every image of
+    every morphism, with constraint propagation, copying the assignment
+    at each candidate.  No stabilizer chain; only viable for very small
+    categories."""
+    if len(T.objects) > 3 or T.mor_count > 200:
+        raise TransporterError("direct enumeration is capped at 3 objects "
+                               "and 200 morphisms")
+    n_obj = len(T.objects)
+    rdiv = {}
+    ldiv = {}
+    right_partners: dict[int, list[tuple[int, int]]] = {m: [] for m in range(T.mor_count)}
+    left_partners: dict[int, list[tuple[int, int]]] = {m: [] for m in range(T.mor_count)}
+    for (j, i), k in T.compose.items():
+        rdiv[(k, i)] = j
+        ldiv[(k, j)] = i
+        right_partners[i].append((j, k))
+        left_partners[j].append((i, k))
+
+    def profile(i):
+        return (len(T.objects[i]),
+                tuple(sorted(len(T.mor(i, j)) for j in range(n_obj))),
+                tuple(sorted(len(T.mor(j, i)) for j in range(n_obj))))
+
+    out = []
+    for beta in itertools.permutations(range(n_obj)):
+        if any(profile(i) != profile(beta[i]) for i in range(n_obj)):
+            continue
+        assign: dict[int, int] = {}
+        used: dict[tuple[int, int], set[int]] = {}
+
+        def force(m, v, queue):
+            pair = (beta[T.src[m]], beta[T.dst[m]])
+            if T.src[v] != pair[0] or T.dst[v] != pair[1]:
+                return False
+            if m in assign:
+                return assign[m] == v
+            if v in used.setdefault(pair, set()):
+                return False
+            assign[m] = v
+            used[pair].add(v)
+            queue.append(m)
+            return True
+
+        def propagate(queue):
+            while queue:
+                m = queue.pop()
+                for (j, k) in right_partners[m]:
+                    if j in assign:
+                        c = T.compose.get((assign[j], assign[m]))
+                        if c is None or not force(k, c, queue):
+                            return False
+                    elif k in assign:
+                        j2 = rdiv.get((assign[k], assign[m]))
+                        if j2 is None or not force(j, j2, queue):
+                            return False
+                for (i, k) in left_partners[m]:
+                    if i in assign:
+                        c = T.compose.get((assign[m], assign[i]))
+                        if c is None or not force(k, c, queue):
+                            return False
+                    elif k in assign:
+                        i2 = ldiv.get((assign[k], assign[m]))
+                        if i2 is None or not force(i, i2, queue):
+                            return False
+            return True
+
+        queue: list[int] = []
+        ok = True
+        for (i, j), m in T.incl.items():
+            if not force(m, T.incl[(beta[i], beta[j])], queue):
+                ok = False
+                break
+        if not ok or not propagate(queue):
+            continue
+
+        def dfs():
+            todo = [m for m in range(T.mor_count) if m not in assign]
+            if not todo:
+                alpha = CategoryFunctor(T, T, tuple(beta),
+                                        tuple(assign[m] for m in range(T.mor_count)))
+                if is_transporter_iso(alpha):
+                    out.append(alpha)
+                return
+            m = min(todo)
+            pair = (beta[T.src[m]], beta[T.dst[m]])
+            for v in T.mor(*pair):
+                if v in used.get(pair, set()):
+                    continue
+                if T.is_iso(m) != T.is_iso(v):
+                    continue
+                saved_assign = dict(assign)
+                saved_used = {k2: set(s) for k2, s in used.items()}
+                queue2: list[int] = []
+                if force(m, v, queue2) and propagate(queue2):
+                    dfs()
+                assign.clear()
+                assign.update(saved_assign)
+                used.clear()
+                used.update(saved_used)
+
+        dfs()
+    unique = {}
+    for a in out:
+        unique[a.morphism_map] = a
+    return [unique[k] for k in sorted(unique)]
 
 
 def blockwise_partial_normals(pg):

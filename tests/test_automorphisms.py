@@ -5,8 +5,9 @@ and the per-instance memo.
 S and multiplies it by the rigid automorphisms.  These tests compare it
 with `oracles.locality_automorphisms_reference`, which completes every
 automorphism of S exhaustively, on the shipped fixtures, on their
-transporter-bridge localities and on a restriction; and they pin down
-what the memo keeps.
+transporter-bridge localities and on a restriction; they pin down what
+the memo keeps; and they check that the generating sequence of
+`automorphism_group` spans Aut(L).
 """
 
 import json
@@ -16,6 +17,8 @@ import pytest
 
 from loclab import cli, extension
 from loclab.extension import (
+    automorphism_group,
+    compose_maps,
     hom_completions,
     iso_defect,
     locality_automorphisms,
@@ -69,6 +72,17 @@ def test_rigid_automorphisms_are_the_pinned_identity_completions(name):
     expected = [a for a in hom_completions(loc, loc, pinned)
                 if iso_defect(loc, loc, a) is None]
     assert rigid_automorphisms(loc) == expected
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_generating_sequence_spans_aut(name):
+    loc = _localities()[name]
+    group = automorphism_group(loc)
+    assert automorphism_group(loc) is group
+    assert group.tokens == tuple(locality_automorphisms(loc))
+    gens = [group.tokens[g] for g in group.generators]
+    assert oracles.span_reference(compose_maps, tuple(range(loc.size)),
+                                  gens) == group.tokens
 
 
 def _fresh_s5():

@@ -1,14 +1,19 @@
 """Maps between localities: certificates, automorphisms, extensions."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loclab import extension
+from loclab.fixtures import build_fixture
 from loclab.groups import parse_group, sylow_p, subgroup_lattice, subgroup_view
 from loclab.locality import locality_from_group, restriction
 from loclab.extension import (
     ExtensionError,
     aut_restriction_report,
     automorphism_group,
+    compose_maps,
     extend_hom,
     hom_completions,
     hom_defect,
@@ -18,6 +23,11 @@ from loclab.extension import (
     projection_defect,
     rigid_automorphisms,
 )
+
+import oracles
+
+BENCH_FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "bench",
+                                 "fixtures")
 
 S4_DOC = {"degree": 4, "generators": [[[1, 2]], [[1, 2, 3, 4]]]}
 S5_DOC = {"degree": 5, "generators": [[[1, 2]], [[1, 2, 3, 4, 5]]]}
@@ -76,6 +86,22 @@ def s5_pair():
     restr = restriction(loc_plus, small)
     q = pg_object(loc_plus, v4n)
     return g, loc, loc_plus, restr, q
+
+
+@pytest.fixture(scope="module")
+def a6_pair():
+    """The A6 pair at p=3: the critical locality as a restriction of the
+    one on all subgroups of order >= 3; |Aut| = 144 on both sides."""
+    bundle, _ = build_fixture(os.path.join(BENCH_FIXTURE_DIR, "a6pair.json"))
+    return bundle.localities["Lplus"], bundle.localities["Lcr"]
+
+
+# (larger locality, restriction) out of each pair fixture
+PLUS_AND_RESTRICTION = {
+    "s4_pair": lambda pair: (pair[2], pair[3]),
+    "s5_pair": lambda pair: (pair[2], pair[3]),
+    "a6_pair": lambda pair: pair,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +181,42 @@ def test_s5_aut_restriction_loses_information(s5_pair):
     assert rep["surjective"]
     assert rep["multiplicative"]
     assert len(locality_automorphisms(loc)) == 8
+
+
+@pytest.mark.parametrize("pair", sorted(PLUS_AND_RESTRICTION))
+def test_generator_check_matches_the_quadratic_scan(pair, request):
+    plus, restr = PLUS_AND_RESTRICTION[pair](request.getfixturevalue(pair))
+    rep = aut_restriction_report(plus, restr)
+    assert rep["defined"]
+    assert rep["multiplicative"]
+    assert oracles.restriction_multiplicative_reference(plus, restr)
+
+
+@pytest.mark.parametrize("victim", ["generator", "other"])
+def test_a_twisted_restriction_is_not_multiplicative(victim, s4_pair,
+                                                     monkeypatch):
+    """Compose the restriction of one automorphism, a generator of
+    Aut(L+) or not, with a non-identity automorphism of the restriction:
+    both the generator check and the quadratic scan then fail."""
+    _, _, loc_plus, restr = s4_pair
+    group = automorphism_group(loc_plus)
+    gens = set(group.generators)
+    chosen = next(group.tokens[i] for i in group.indices()
+                  if i != group.identity and (i in gens) == (victim == "generator"))
+    twist = next(c for c in locality_automorphisms(restr)
+                 if c != tuple(range(restr.size)))
+    real = extension.restrict_automorphism
+
+    def twisted(plus, small, alpha):
+        image = real(plus, small, alpha)
+        return compose_maps(image, twist) if tuple(alpha) == chosen else image
+
+    monkeypatch.setattr(extension, "restrict_automorphism", twisted)
+    monkeypatch.setattr(oracles, "restrict_automorphism", twisted)
+    rep = aut_restriction_report(loc_plus, restr)
+    assert rep["defined"]
+    assert not rep["multiplicative"]
+    assert not oracles.restriction_multiplicative_reference(loc_plus, restr)
 
 
 # ---------------------------------------------------------------------------

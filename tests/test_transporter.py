@@ -1,10 +1,14 @@
 """Transporter categories: builders, axioms, the locality round trip,
 functors, automorphism counts, and linking-system structure facts."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loclab import transporter
 from loclab.extension import compose_maps, hom_completions, iso_defect
+from loclab.fixtures import build_fixture
 from loclab.groups import (
     is_characteristic_p,
     parse_group,
@@ -16,6 +20,7 @@ from loclab.locality import locality_from_group
 from loclab.transporter import (
     CategoryFunctor,
     TransporterError,
+    _enumerate_functors_directly,
     aut_transporter,
     classify_functor,
     compose_functors,
@@ -45,7 +50,28 @@ D8_DOC = {"degree": 4, "generators": [[[1, 2, 3, 4]], [[1, 3]]]}
 C2_DOC = {"degree": 2, "generators": [[[1, 2]]]}
 S5_DOC = {"degree": 5, "generators": [[[1, 2]], [[1, 2, 3, 4, 5]]]}
 
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+# every fixture system within the direct search's cap of 3 objects and
+# 200 morphisms, by fixture file
+CAPPED = {"a4/L": "fixtures/a4.json", "c2/L": "fixtures/c2.json",
+          "s4/Lcr": "fixtures/s4.json", "psl27/L": "bench/fixtures/psl27.json",
+          "a6pair/Lcr": "bench/fixtures/a6pair.json"}
+CAPPED_NAMES = [n for base in CAPPED for n in (base, f"{base} bridge")]
+
 _CACHE = {}
+
+
+def _capped_system(name):
+    """The system of a capped fixture locality, or of its bridge."""
+    if name not in _CACHE:
+        base = name.removesuffix(" bridge")
+        bundle, _ = build_fixture(os.path.join(ROOT, CAPPED[base]))
+        T = transporter_of_locality(bundle.localities[base.split("/")[1]])
+        _CACHE[base] = T
+        _CACHE[f"{base} bridge"] = transporter_of_locality(
+            locality_of_transporter(T))
+    return _CACHE[name]
 
 
 def _sylow_family(group, p):
@@ -68,6 +94,17 @@ def _s4():
         T_plus = transporter_of_locality(loc_plus)
         _CACHE["s4"] = (g, v4n, d8, loc_cr, loc_plus, T_cr, T_plus)
     return _CACHE["s4"]
+
+
+def _fresh_s4_cr():
+    """A new Lcr of S4 and its system, sharing no memo with `_s4`."""
+    g = parse_group(S4_DOC)
+    subs = _sylow_family(g, 2)
+    v4n = next(P for P in subs if {g.label(i) for i in P} ==
+               {"()", "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)"})
+    d8 = next(P for P in subs if len(P) == 8)
+    loc = locality_from_group(g, 2, [v4n, d8])
+    return loc, transporter_of_locality(loc)
 
 
 def _d8():
@@ -312,6 +349,22 @@ def test_inclusion_twist_is_spotted():
         lambda_map(twist)
 
 
+def test_descent_is_decided_by_membership():
+    """A self-map of one system descends to a certified automorphism of
+    its locality; with that automorphism struck from the kept set, the
+    same functor is refused."""
+    _, T = _fresh_s4_cr()
+    auts = aut_transporter(T)
+    L2 = locality_of_transporter(T)
+    phi = next(a for a in auts if a.morphism_map != tuple(range(T.mor_count)))
+    sigma = lambda_map(phi)
+    assert sigma in L2._automorphism_set
+    L2._automorphism_set = L2._automorphism_set - {sigma}
+    with pytest.raises(TransporterError, match="not an automorphism"):
+        lambda_map(phi)
+    assert lambda_map(identity_functor(T)) == tuple(range(L2.size))
+
+
 def test_morphism_factorization_over_the_image():
     _, _, _, _, _, T_cr, _ = _s4()
     for m in range(T_cr.mor_count):
@@ -345,6 +398,38 @@ def test_restrictions_are_unique_and_commute(data):
 
 
 # ---- automorphisms and the outer quotient ----------------------------------
+
+
+@pytest.mark.parametrize("name", CAPPED_NAMES)
+def test_chain_search_matches_the_exhaustive_search(name):
+    T = _capped_system(name)
+    assert len(T.objects) <= 3 and T.mor_count <= 200
+    chain = _enumerate_functors_directly(T)
+    reference = oracles.functor_enumeration_reference(T)
+    assert [(a.object_map, a.morphism_map) for a in chain] == \
+        [(a.object_map, a.morphism_map) for a in reference]
+    assert {a.morphism_map for a in chain} == \
+        {a.morphism_map for a in aut_transporter(T)}
+
+
+def test_chain_search_reads_no_locality(monkeypatch):
+    """The direct search is a cross-check of the lifted list, so it must
+    not reach the bridge or the locality automorphisms."""
+    _, T = _fresh_s4_cr()
+
+    def refuse(*args):
+        raise AssertionError("the direct search read the locality side")
+
+    monkeypatch.setattr(transporter, "_build_locality", refuse)
+    monkeypatch.setattr(transporter, "locality_automorphisms", refuse)
+    assert len(_enumerate_functors_directly(T)) == 8
+
+
+def test_chain_search_keeps_its_cap():
+    _, _, _, _, _, _, T_plus = _s4()
+    assert len(T_plus.objects) == 4
+    with pytest.raises(TransporterError, match="capped"):
+        _enumerate_functors_directly(T_plus)
 
 
 def test_automorphism_counts_on_the_small_pair():

@@ -8,8 +8,9 @@ report on the Locality, which answers every word length.
 `transporter_of_locality` keeps its system, `aut_transporter` its list on
 the system and `enumerate_partial_normal` its family on the Locality, so
 one call of the program certifies, bridges, lifts and enumerates each
-locality once.  A system also keeps its image factorisations and the
-verdict on each functor, so each functor is classified once.  No word
+locality once.  A system also keeps its image factorisations, the
+verdict on each functor, its linking-system verdict and its outer
+automorphism data, so each is found once.  No word
 scan is left in the program; the scans of `oracles` check the bridges and
 quotients here.
 """
@@ -25,7 +26,9 @@ from loclab.locality import Locality, locality_structure_checks, validate_locali
 from loclab.normal import NormalError, enumerate_partial_normal, quotient
 from loclab.transporter import (
     aut_transporter,
+    linking_system_defect,
     locality_of_transporter,
+    out_typ,
     transporter_of_locality,
 )
 
@@ -294,6 +297,37 @@ def test_a_failing_report_answers_every_bound(validations):
     assert not report.ok
     assert all(validate_locality(bad, k) is report for k in (1, 2, 3))
     assert [n for _, n in validations.values()] == [1]
+
+
+def test_linking_verdict_and_outer_data_are_kept(monkeypatch, capsys):
+    """One verdict and one outer computation per system, across a whole
+    report; out_typ hands out a fresh dict each time."""
+    calls = {"defect": 0, "out": 0}
+    real_defect, real_out = (transporter._linking_system_defect,
+                             transporter._out_typ)
+
+    def defect(T):
+        calls["defect"] += 1
+        return real_defect(T)
+
+    def out(T):
+        calls["out"] += 1
+        return real_out(T)
+
+    monkeypatch.setattr(transporter, "_linking_system_defect", defect)
+    monkeypatch.setattr(transporter, "_out_typ", out)
+    assert cli.main(["report", os.path.join(FIXTURE_DIR, "s4.json")]) == 0
+    capsys.readouterr()
+    # Lcr and Lplus; the full subcategory asks neither
+    assert calls == {"defect": 2, "out": 2}
+    T = transporter_of_locality(_fresh("s4/Lcr"))
+    assert linking_system_defect(T) is None
+    assert linking_system_defect(T) is None
+    first = out_typ(T)
+    first.clear()
+    assert out_typ(T) == out_typ(T) != {}
+    assert out_typ(T) is not out_typ(T)
+    assert calls == {"defect": 3, "out": 3}
 
 
 def test_memos_are_kept_per_instance():
