@@ -16,6 +16,11 @@ domain; the product identity then follows by induction on the length of
 the left fold, using (3) and the fact that S_w is contained in S of the
 folded product.  Everything below leans on that reduction.
 
+Maps are found by their images of generators with the search that
+`groups.group_isomorphisms` runs too, `groups.generator_image_search`,
+as the extension lemma of the paper determines a map from its
+restriction.  Each map found is kept only when the certificate passes.
+
 Automorphisms are found as cosets.  Restriction to S is a homomorphism
 Aut(L) -> Aut(S); its kernel R is the group of rigid automorphisms, those
 that are the identity on S, and R is normal as a kernel.  If beta and
@@ -31,10 +36,7 @@ tuples of that search on the Locality instance, so each locality is
 searched at most once, and each call hands out a fresh list.  The same
 memo keeps the automorphisms as a frozenset, so that deciding whether a
 map is a certified automorphism (`is_locality_automorphism`) is one
-lookup.  The per-element index of the pair table that the backtracking
-checks against lives only as long as one search: kept on the instance it
-would hold memory for every locality a report builds, for the life of
-the report.
+lookup.
 
 Group-level checks work on generators.  `automorphism_group` is Aut(L)
 as a generated group: the sorted tuple with a composition that looks
@@ -47,12 +49,13 @@ for each generator a and every b.
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator, Sequence
 
 from .fusion import fusion_from_locality
-from .groups import FiniteGroup, automorphisms, generating_sequence
+from .groups import (FiniteGroup, automorphisms, generating_sequence,
+                     generator_image_search)
 from .locality import ChainPartialGroup, Locality
+from .partial import generated_partial_subgroup
 
 
 class ExtensionError(ValueError):
@@ -108,13 +111,9 @@ def iso_defect(src: Locality, dst: Locality, alpha: Sequence[int]) -> str | None
     An isomorphism is a bijective map that is a homomorphism in both
     directions and matches the object families.
     """
-    if not _is_bijection(dst, alpha):
+    if not len(set(alpha)) == len(alpha) == dst.size:
         return "map is not a bijection"
     return hom_defect(src, dst, alpha) or _converse_defect(src, dst, alpha)
-
-
-def _is_bijection(dst: Locality, alpha: Sequence[int]) -> bool:
-    return len(set(alpha)) == len(alpha) == dst.size
 
 
 def _inverse_map(alpha: Sequence[int]) -> tuple[int, ...]:
@@ -179,7 +178,9 @@ def kernel_of(src: Locality, alpha: Sequence[int], dst: Locality) -> frozenset[i
 
 
 # ---------------------------------------------------------------------------
-# enumerating homomorphisms and automorphisms by backtracking
+# homomorphisms and automorphisms by their images of generators
+
+COMPLETION_CAP = 100000
 
 
 def _conj_candidates(src: Locality, dst: Locality,
@@ -198,80 +199,40 @@ def _conj_candidates(src: Locality, dst: Locality,
     return out
 
 
-def _pair_index(pg: ChainPartialGroup) -> list[array]:
-    """For each element f, the pair-table entries (a, b, c) with f among
-    a, b and c, flattened into one int array per element."""
-    index = [array("i") for _ in range(pg.size)]
-    for (a, b), c in pg.pairs.items():
-        for f in {a, b, c}:
-            index[f].extend((a, b, c))
-    return index
+def _map_classes(pg: ChainPartialGroup) -> tuple[dict, list[int], list[list[int]]]:
+    """The id of each conjugation map (as the frozenset of its pairs), the
+    id of each element's map, and the elements of each id."""
+    ids: dict[frozenset[tuple[int, int]], int] = {}
+    cls = [ids.setdefault(frozenset(conj.items()), len(ids))
+           for conj in pg.conj_maps]
+    members: list[list[int]] = [[] for _ in ids]
+    for g, c in enumerate(cls):
+        members[c].append(g)
+    return ids, cls, members
 
 
-def _completions(src: Locality, dst: Locality, pinned: dict[int, int],
-                 cands: dict[int, list[int]], index: list[array],
-                 injective: bool = False) -> Iterator[tuple[int, ...]]:
-    """Every map src -> dst that extends `pinned`, sends each free f into
-    cands[f] and passes the homomorphism certificate, depth first.
-
-    After f is assigned, only the pair entries in index[f] (from
-    `_pair_index` on src) are checked: a pair whose factors are both
-    assigned must have a defined image product, equal to the image of the
-    product once that is assigned.  With `injective`, an image that is
-    already used is skipped.
-    """
-    dpairs = dst.pg.pairs
-    assign = [-1] * src.size
-    used = [False] * dst.size
-    for x, y in pinned.items():
-        assign[x] = y
-        used[y] = True
-    free = sorted((f for f in range(src.size) if assign[f] < 0),
-                  key=lambda f: (len(cands[f]), f))
-
-    def consistent(f: int) -> bool:
-        entries = index[f]
-        for i in range(0, len(entries), 3):
-            ga, gb = assign[entries[i]], assign[entries[i + 1]]
-            if ga < 0 or gb < 0:
-                continue
-            d = dpairs.get((ga, gb))
-            if d is None:
-                return False
-            gc = assign[entries[i + 2]]
-            if gc >= 0 and d != gc:
-                return False
-        return True
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(free):
-            full = tuple(assign)
-            if hom_defect(src, dst, full) is None:
-                yield full
-            return
-        f = free[i]
-        for g in cands[f]:
-            if injective and used[g]:
-                continue
-            assign[f] = g
-            used[g] = True
-            if consistent(f):
-                yield from rec(i + 1)
-            used[g] = False
-        assign[f] = -1
-
-    yield from rec(0)
+def _generators_over_s(pg: ChainPartialGroup, cls: Sequence[int],
+                       members: Sequence[Sequence[int]]) -> list[int]:
+    """Elements that generate L with S, chosen from the structure: each is
+    the first outside the span so far, by how many elements share its
+    conjugation map, then by index.  A fold of `generated_partial_subgroup`."""
+    span = generated_partial_subgroup(pg, pg.s_members)
+    gens = []
+    for f in sorted(range(pg.size), key=lambda f: (len(members[cls[f]]), f)):
+        if f not in span:
+            span = generated_partial_subgroup(pg, (f,), closed=span)
+            gens.append(f)
+    return gens
 
 
-def hom_completions(src: Locality, dst: Locality, pinned: dict[int, int],
-                    cap: int = 100000) -> list[tuple[int, ...]]:
+def hom_completions(src: Locality, dst: Locality,
+                    pinned: dict[int, int]) -> list[tuple[int, ...]]:
     """All homomorphisms of partial groups src -> dst extending `pinned`,
-    by exhaustive backtracking.
-
-    `pinned` must cover S and map objects into objects; the enumeration
-    then closes over the two finite certificate conditions, so the result
-    is exactly the set of extensions.  Deterministic order.
-    """
+    which must cover S and map objects into objects; sorted, and at most
+    COMPLETION_CAP.  Each generator of `_generators_over_s` tries the
+    targets whose conjugation map agrees with its own through `pinned`,
+    as condition (2) asks of every homomorphism, and `hom_defect`
+    certifies each map kept."""
     spg, dpg = src.pg, dst.pg
     if not set(spg.s_members) <= set(pinned):
         raise ExtensionError("all of S must be pinned")
@@ -279,13 +240,15 @@ def hom_completions(src: Locality, dst: Locality, pinned: dict[int, int],
         if frozenset(pinned[x] for x in P) not in dpg.object_set:
             raise ExtensionError("pinned part does not map objects to objects")
 
-    cands = {f: _conj_candidates(src, dst, pinned, f)
-             for f in range(spg.size) if f not in pinned}
+    gens = _generators_over_s(spg, *_map_classes(spg)[1:])
     results: list[tuple[int, ...]] = []
-    for full in _completions(src, dst, pinned, cands, _pair_index(spg)):
-        results.append(full)
-        if len(results) >= cap:
-            raise ExtensionError("completion search hit the cap")
+    for full in generator_image_search(
+            spg.pairs, dpg.pairs, spg.inv, dpg.inv, pinned, gens,
+            lambda g: _conj_candidates(src, dst, pinned, g)):
+        if hom_defect(src, dst, full) is None:
+            results.append(full)
+            if len(results) >= COMPLETION_CAP:
+                raise ExtensionError("completion search hit the cap")
     return sorted(results)
 
 
@@ -294,31 +257,34 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
     """Aut(L) and its rigid part R, both sorted, by the coset search of the
     module docstring: R by a full search over the identity on S, then, for
     every automorphism alpha_S of S that preserves the object family, the
-    first completion beta that is an isomorphism, multiplied by R.
+    first isomorphism beta over alpha_S, multiplied by R.
 
-    Candidates are exact: an automorphism's inverse is a homomorphism
-    too, so condition (2) in both directions makes the conjugation map
-    of the image of f the conjugation map of f transported along alpha_S.
-    Every completion has passed `hom_defect` already, so only the rest of
-    `iso_defect` runs on it: bijectivity, the inverse map and the object
-    family.  Not memoised; `locality_automorphisms` and
+    An automorphism's inverse is a homomorphism too, so by condition (2)
+    the image of f has the map of f transported along alpha_S.  That gives
+    the candidates of each generator and the `allowed` test.  An alpha_S
+    that moves the object family, or transports some map to the map of no
+    element, is skipped unsearched.  Complete, as a map is determined by
+    its images of `_generators_over_s`; sound, as each map kept passes
+    `hom_defect` and `_converse_defect` and is injective on a set of its
+    own size.  Not memoised; `locality_automorphisms` and
     `rigid_automorphisms` are.
     """
     pg = loc.pg
-    index = _pair_index(pg)
-    by_map: dict[frozenset[tuple[int, int]], list[int]] = {}
-    for g, conj in enumerate(pg.conj_maps):
-        by_map.setdefault(frozenset(conj.items()), []).append(g)
-    free = [f for f in range(pg.size) if f not in pg.s_members]
+    ids, cls, members = _map_classes(pg)
+    gens = _generators_over_s(pg, cls, members)
 
     def over(alpha_s: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        cands = {f: by_map.get(frozenset((alpha_s[x], alpha_s[y])
-                                         for x, y in pg.conj_maps[f].items()),
-                               [])
-                 for f in free}
-        return (full for full in _completions(loc, loc, alpha_s, cands, index,
-                                               injective=True)
-                if _is_bijection(loc, full)
+        want = [ids.get(frozenset((alpha_s[x], alpha_s[y])
+                                  for x, y in conj.items()))
+                for conj in pg.conj_maps]
+        if None in want or {frozenset(alpha_s[x] for x in P)
+                            for P in pg.objects} != set(pg.object_set):
+            return iter(())
+        maps = generator_image_search(
+            pg.pairs, pg.pairs, pg.inv, pg.inv, alpha_s, gens,
+            lambda g: members[want[g]], lambda x, v: cls[v] == want[x],
+            injective=True)
+        return (full for full in maps if hom_defect(loc, loc, full) is None
                 and _converse_defect(loc, loc, full) is None)
 
     rigid = tuple(sorted(over({x: x for x in pg.s_members})))
@@ -326,9 +292,6 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
     out: list[tuple[int, ...]] = []
     for a in automorphisms(sg):
         alpha_s = {sg.tokens[i]: sg.tokens[a[i]] for i in range(sg.order)}
-        if {frozenset(alpha_s[x] for x in P) for P in pg.objects} \
-                != set(pg.object_set):
-            continue
         beta = next(over(alpha_s), None)
         if beta is not None:
             out.extend(compose_maps(beta, rho) for rho in rigid)

@@ -27,8 +27,10 @@ Object modes:
   of the ambient group.
 
 Each pair ``[small, big]`` asserts that the small family is contained in
-the big one; the small locality is then rebuilt as the restriction of the
-big one so that downstream comparisons see a genuine restriction.
+the big one; the small locality is then built as the restriction of the
+big one, so that downstream comparisons see a genuine restriction.  A
+locality is the small side of at most one pair, and that pair comes after
+the pair whose small side is its big side.
 
 Malformed documents raise FixtureError (a usage problem).  Documents that
 parse but describe invalid mathematics (an object family that is not
@@ -49,11 +51,12 @@ from .locality import (
     Locality,
     LocalityBuildError,
     _subgroups_of_view,
+    close_object_family,
     locality_from_group,
     restriction,
     validate_locality,
 )
-from .reports import Report, Section
+from .reports import Check, Report, Section
 from . import perm
 
 NAMED_RECIPES = ("all", "crit", "subcentric", "order-ge N")
@@ -289,8 +292,10 @@ def build_bundle(parsed: ParsedFixture, name: str, *,
                  k: int = 4) -> tuple[FixtureBundle | None, Report]:
     """Build and validate every declared locality.
 
-    Returns the bundle and a report; the bundle is None exactly when some
-    check in the report failed.  Structure errors raise FixtureError.
+    The small side of a pair is the restriction of the big side, not built
+    from the group.  Returns the bundle and a report; the bundle is None
+    exactly when some check in the report failed.  Structure errors raise
+    FixtureError.
     """
     report = Report(f"build {name}")
     section = report.section("build")
@@ -303,54 +308,61 @@ def build_bundle(parsed: ParsedFixture, name: str, *,
                     f"{parsed.p} does not divide {group.order}")
         return None, report
 
-    bundle = FixtureBundle(name, group, parsed.p, {}, list(parsed.pairs))
-    families: dict[str, list[frozenset[int]]] = {}
-    for locname, spec in parsed.object_specs.items():
+    big_of = dict(parsed.pairs)
+    declared = list(parsed.object_specs)
+    locs: dict[str, Locality] = {}
+    for locname in ([n for n in declared if n not in big_of]
+                    + [small for small, _ in parsed.pairs]):
+        spec = parsed.object_specs[locname]
         fam = _resolve_objects(group, parsed.p, spec, locname, section)
         if fam is None:
             return None, report
-        families[locname] = fam
         auto = spec["mode"] == "up-closure"
-        try:
-            loc = locality_from_group(group, parsed.p, fam, auto_close=auto)
-        except LocalityBuildError as exc:
-            section.add(f"{locname} builds", False, str(exc))
-            return None, report
+        big = big_of.get(locname)
+        if big is None:
+            try:
+                loc = locality_from_group(group, parsed.p, fam, auto_close=auto)
+            except LocalityBuildError as exc:
+                section.add(f"{locname} builds", False, str(exc))
+                return None, report
+        else:
+            if big not in locs or locname in locs:
+                raise FixtureError(f"pair [{locname}, {big}]: restrict each "
+                                   "locality once, big sides first")
+            if auto:
+                fam = close_object_family(
+                    group, frozenset(sylow_p(group, parsed.p).members), fam)
+            loc_big = locs[big]
+            by_family = {frozenset(loc_big.carrier[x] for x in P): P
+                         for P in loc_big.objects}
+            stray = [P for P in sorted(set(fam), key=sorted) if P not in by_family]
+            if stray:
+                section.add(f"pair {locname} <= {big}", False,
+                            f"object {{{_members_label(group, stray[0])}}} of "
+                            f"{locname} is not an object of {big}")
+                return None, report
+            try:
+                loc = restriction(loc_big, [by_family[P] for P in set(fam)])
+            except LocalityBuildError as exc:
+                section.add(f"pair {locname} <= {big} restricts", False, str(exc))
+                return None, report
         vep = validate_locality(loc, k=k)
         if not vep.ok:
             bad = vep.failing()[0]
             section.add(f"{locname} validates", False,
                         f"{bad.name}: {bad.detail}")
             return None, report
-        section.add(f"{locname} builds and validates "
-                    f"({len(loc.objects)} objects, {loc.size} elements)", True)
-        bundle.localities[locname] = loc
-
-    for small, big in parsed.pairs:
-        loc_small = bundle.localities[small]
-        loc_big = bundle.localities[big]
-        fam_small = {frozenset(loc_small.carrier[x] for x in P)
-                     for P in loc_small.objects}
-        fam_big = {frozenset(loc_big.carrier[x] for x in P)
-                   for P in loc_big.objects}
-        if not fam_small <= fam_big:
-            stray = next(P for P in sorted(fam_small, key=sorted)
-                         if P not in fam_big)
-            section.add(f"pair {small} <= {big}", False,
-                        f"object {{{_members_label(group, stray)}}} of {small} "
-                        f"is not an object of {big}")
-            return None, report
-        keep = [P for P in loc_big.objects
-                if frozenset(loc_big.carrier[x] for x in P) in fam_small]
-        try:
-            restr = restriction(loc_big, keep)
-        except LocalityBuildError as exc:
-            section.add(f"pair {small} <= {big} restricts", False, str(exc))
-            return None, report
-        bundle.localities[small] = restr
-        section.add(f"pair {small} <= {big} restricts "
-                    f"({restr.size} of {loc_big.size} elements)", True)
-    return bundle, report
+        # the line goes after those of the localities declared before it
+        at = sum(n in locs for n in declared[:declared.index(locname)])
+        section.checks.insert(at, Check(
+            f"{locname} builds and validates "
+            f"({len(loc.objects)} objects, {loc.size} elements)", True))
+        locs[locname] = loc
+        if big is not None:
+            section.add(f"pair {locname} <= {big} restricts "
+                        f"({loc.size} of {locs[big].size} elements)", True)
+    return FixtureBundle(name, group, parsed.p, {n: locs[n] for n in declared},
+                         list(parsed.pairs)), report
 
 
 def build_fixture(path: str, *, k: int = 4) -> tuple[FixtureBundle | None, Report]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import perm
 
@@ -441,81 +441,103 @@ def generating_sequence(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def _close_generator_map(source: FiniteGroup, target: FiniteGroup,
-                         gens: Sequence[int], images: Sequence[int]) -> dict[int, int] | None:
-    """Propagate gens[i] -> images[i] over <gens> by BFS.
+def generator_image_search(src_pairs: dict[tuple[int, int], int],
+                           dst_pairs: dict[tuple[int, int], int],
+                           src_inv: Sequence[int], dst_inv: Sequence[int],
+                           pinned: dict[int, int], gens: Sequence[int],
+                           candidates: Callable[[int], Iterable[int]],
+                           allowed: Callable[[int, int], bool] | None = None,
+                           injective: bool = False) -> Iterator[tuple[int, ...]]:
+    """Maps of partial groups extending `pinned`, depth first over the
+    images of `gens`, each taken from `candidates(g)`.
 
-    Returns the induced map on the generated subgroup, or None when two
-    paths to the same element disagree or the map is not injective.
+    A partial group is given by its defined pair products and inverses; a
+    group defines every pair.  Each assignment is closed over inverses and
+    over the defined products of elements with images, and fails on a
+    conflict, a product undefined in the target, an image that `allowed`
+    refuses or, with `injective`, an image taken twice.  Complete: a
+    homomorphism is determined by its images of a generating set, so when
+    `pinned` and `gens` generate the source, each homomorphism that
+    extends `pinned`, sends each generator to a candidate and passes
+    `allowed` is yielded once.  Not sound: the closure stops once every
+    element has an image, so the caller keeps only what its exact check
+    passes.
     """
-    mapping = {source.identity: target.identity}
-    frontier = [source.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g, img in zip(gens, images):
-                y = source.mul(x, g)
-                ty = target.mul(mapping[x], img)
-                if y in mapping:
-                    if mapping[y] != ty:
-                        return None
-                else:
-                    mapping[y] = ty
-                    new.append(y)
-        frontier = new
-    if len(set(mapping.values())) != len(mapping):
-        return None
-    return mapping
+    n = len(src_inv)
+    img = [-1] * n
+    used = [False] * len(dst_inv)
+    trail: list[int] = []  # elements with images; the first `head` are closed
+    head = 0
 
+    def assign(x: int, v: int | None) -> bool:
+        if img[x] >= 0 or v is None:
+            return img[x] == v
+        if (injective and used[v]) or (allowed and not allowed(x, v)):
+            return False
+        img[x] = v
+        used[v] = True
+        trail.append(x)
+        return True
 
-def group_isomorphisms(source: FiniteGroup, target: FiniteGroup,
-                       limit: int | None = None) -> list[tuple[int, ...]]:
-    """All isomorphisms source -> target as image tuples (index maps).
-
-    Backtracks over images of a generating sequence, pruning with element
-    orders and path consistency.  Deterministic order.
-    """
-    if source.order != target.order:
-        return []
-    gens = generating_sequence(source)
-    if not gens:  # trivial group
-        return [(target.identity,)]
-    by_order: dict[int, list[int]] = {}
-    for t in target.indices():
-        by_order.setdefault(target.element_order(t), []).append(t)
-
-    results: list[tuple[int, ...]] = []
-
-    def full_check(mapping: dict[int, int]) -> bool:
-        for a in source.indices():
-            for b in source.indices():
-                if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
+    def close() -> bool:
+        nonlocal head
+        while head < len(trail) < n:
+            x = trail[head]
+            head += 1
+            v = img[x]
+            if not assign(src_inv[x], dst_inv[v]):
+                return False
+            for y in trail[:head]:
+                w = img[y]
+                c = src_pairs.get((x, y))
+                if c is not None and not assign(c, dst_pairs.get((v, w))):
+                    return False
+                c = src_pairs.get((y, x))
+                if c is not None and not assign(c, dst_pairs.get((w, v))):
                     return False
         return True
 
-    def extend(k: int, images: list[int]) -> None:
-        if limit is not None and len(results) >= limit:
+    def search(i: int) -> Iterator[tuple[int, ...]]:
+        nonlocal head
+        while i < len(gens) and img[gens[i]] >= 0:
+            i += 1
+        if i == len(gens):
+            if len(trail) == n:
+                yield tuple(img)
             return
-        if k == len(gens):
-            mapping = _close_generator_map(source, target, gens, images)
-            if mapping is not None and len(mapping) == source.order and full_check(mapping):
-                results.append(tuple(mapping[x] for x in source.indices()))
-            return
-        for cand in by_order.get(source.element_order(gens[k]), []):
-            images.append(cand)
-            if _close_generator_map(source, target, gens[: k + 1], images) is not None:
-                extend(k + 1, images)
-            images.pop()
-            if limit is not None and len(results) >= limit:
-                return
+        for v in candidates(gens[i]):
+            mark = len(trail)
+            if assign(gens[i], v) and close():
+                yield from search(i + 1)
+            for x in trail[mark:]:
+                used[img[x]] = False
+                img[x] = -1
+            del trail[mark:]
+            head = mark
 
-    extend(0, [])
-    return sorted(results)
+    if all(assign(x, v) for x, v in pinned.items()) and close():
+        yield from search(0)
+
+
+def group_isomorphisms(source: FiniteGroup,
+                       target: FiniteGroup) -> list[tuple[int, ...]]:
+    """All isomorphisms source -> target as sorted image tuples: the
+    bijections of `generator_image_search` over a generating sequence of
+    the source that keep element orders and preserve every product."""
+    if source.order != target.order:
+        return []
+    src_pairs, dst_pairs = ({(a, b): g.mul(a, b) for a in g.indices()
+                             for b in g.indices()} for g in (source, target))
+    src_orders, dst_orders = ([g.element_order(x) for x in g.indices()]
+                              for g in (source, target))
+    maps = generator_image_search(
+        src_pairs, dst_pairs, source._inv, target._inv,
+        {source.identity: target.identity}, generating_sequence(source),
+        lambda g: target.indices(),
+        lambda x, v: src_orders[x] == dst_orders[v], injective=True)
+    return sorted(m for m in maps if all(m[c] == dst_pairs[m[a], m[b]]
+                                         for (a, b), c in src_pairs.items()))
 
 
 def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
     return group_isomorphisms(group, group)
-
-
-def are_isomorphic(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return bool(group_isomorphisms(a, b, limit=1))

@@ -8,8 +8,12 @@ functoriality of transporter systems by scans over every composable triple
 or pair instead of a generating set.  Two more scan what the library
 decides on generators: the multiplicativity of the restriction of
 automorphisms over every pair, and the automorphisms of a transporter
-system by the exhaustive search tree instead of a stabilizer chain.  They
-are slow and only run at tiny scale.
+system by the exhaustive search tree instead of a stabilizer chain.  Two
+keep the map searches that the library's generator-image search
+replaced: `hom_completions_reference` assigns every element in turn, and
+`group_isomorphisms_reference` rebuilds each partial map from scratch;
+`locality_automorphisms_reference` runs both, so it shares no search
+with the library.  They are slow and only run at tiny scale.
 
 The word scans at the end check a locality the way the definition reads:
 they list every word of the domain up to a length k and test PG1-PG4,
@@ -23,16 +27,18 @@ fixtures and the only check of the localities that have no ambient group
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from loclab import perm
 from loclab.extension import (
+    ExtensionError,
     compose_maps,
-    hom_completions,
+    hom_defect,
     iso_defect,
     locality_automorphisms,
     restrict_automorphism,
 )
-from loclab.groups import automorphisms
+from loclab.groups import generating_sequence
 from loclab.locality import (
     LocalityCheck,
     LocalityReport,
@@ -235,19 +241,201 @@ def s_of_word_reference(pg, w):
 def locality_automorphisms_reference(loc):
     """Aut(L) by the full backtrack: every completion of every automorphism
     of S that preserves the object family, kept when the isomorphism
-    certificate passes.  No coset argument, no memo."""
+    certificate passes.  No coset argument, no memo, and neither search
+    is the library's: Aut(S) comes from `group_isomorphisms_reference`,
+    the completions from `hom_completions_reference`."""
     pg = loc.pg
     sg = loc.s_group()
     out = []
-    for a in automorphisms(sg):
+    for a in group_isomorphisms_reference(sg, sg):
         alpha_s = {sg.tokens[i]: sg.tokens[a[i]] for i in range(sg.order)}
         if {frozenset(alpha_s[x] for x in P) for P in pg.objects} \
                 != set(pg.object_set):
             continue
-        for full in hom_completions(loc, loc, alpha_s):
+        for full in hom_completions_reference(loc, loc, alpha_s):
             if iso_defect(loc, loc, full) is None:
                 out.append(full)
     return sorted(set(out))
+
+
+# The element-by-element completion search that `extension.hom_completions`
+# ran before it searched over generator images: every element in turn, in
+# order of candidate count and index, each assignment checked against the
+# pair-table entries it takes part in.
+
+
+def _conj_candidates(src, dst, pinned, f):
+    """Target elements compatible with f under conjugation on S_f.
+
+    Assumes every member of S is already pinned.
+    """
+    cf = src.pg.conj_maps[f]
+    pat = [(pinned[x], pinned[y]) for x, y in cf.items()]
+    out = []
+    for g in range(dst.size):
+        cg = dst.pg.conj_maps[g]
+        if all(x in cg and cg[x] == y for x, y in pat):
+            out.append(g)
+    return out
+
+
+def _pair_index(pg):
+    """For each element f, the pair-table entries (a, b, c) with f among
+    a, b and c, flattened into one int array per element."""
+    index = [array("i") for _ in range(pg.size)]
+    for (a, b), c in pg.pairs.items():
+        for f in {a, b, c}:
+            index[f].extend((a, b, c))
+    return index
+
+
+def _completions(src, dst, pinned, cands, index, injective=False):
+    """Every map src -> dst that extends `pinned`, sends each free f into
+    cands[f] and passes the homomorphism certificate, depth first.
+
+    After f is assigned, only the pair entries in index[f] (from
+    `_pair_index` on src) are checked: a pair whose factors are both
+    assigned must have a defined image product, equal to the image of the
+    product once that is assigned.  With `injective`, an image that is
+    already used is skipped.
+    """
+    dpairs = dst.pg.pairs
+    assign = [-1] * src.size
+    used = [False] * dst.size
+    for x, y in pinned.items():
+        assign[x] = y
+        used[y] = True
+    free = sorted((f for f in range(src.size) if assign[f] < 0),
+                  key=lambda f: (len(cands[f]), f))
+
+    def consistent(f):
+        entries = index[f]
+        for i in range(0, len(entries), 3):
+            ga, gb = assign[entries[i]], assign[entries[i + 1]]
+            if ga < 0 or gb < 0:
+                continue
+            d = dpairs.get((ga, gb))
+            if d is None:
+                return False
+            gc = assign[entries[i + 2]]
+            if gc >= 0 and d != gc:
+                return False
+        return True
+
+    def rec(i):
+        if i == len(free):
+            full = tuple(assign)
+            if hom_defect(src, dst, full) is None:
+                yield full
+            return
+        f = free[i]
+        for g in cands[f]:
+            if injective and used[g]:
+                continue
+            assign[f] = g
+            used[g] = True
+            if consistent(f):
+                yield from rec(i + 1)
+            used[g] = False
+        assign[f] = -1
+
+    yield from rec(0)
+
+
+def hom_completions_reference(src, dst, pinned, cap=100000):
+    """All homomorphisms of partial groups src -> dst extending `pinned`,
+    by exhaustive backtracking.
+
+    `pinned` must cover S and map objects into objects; the enumeration
+    then closes over the two finite certificate conditions, so the result
+    is exactly the set of extensions.  Deterministic order.
+    """
+    spg, dpg = src.pg, dst.pg
+    if not set(spg.s_members) <= set(pinned):
+        raise ExtensionError("all of S must be pinned")
+    for P in spg.objects:
+        if frozenset(pinned[x] for x in P) not in dpg.object_set:
+            raise ExtensionError("pinned part does not map objects to objects")
+
+    cands = {f: _conj_candidates(src, dst, pinned, f)
+             for f in range(spg.size) if f not in pinned}
+    results = []
+    for full in _completions(src, dst, pinned, cands, _pair_index(spg)):
+        results.append(full)
+        if len(results) >= cap:
+            raise ExtensionError("completion search hit the cap")
+    return sorted(results)
+
+
+# The group isomorphism search before the shared generator-image search:
+# backtracking over images of a generating sequence, each partial
+# assignment rebuilt from scratch by a breadth-first walk.
+
+
+def _close_generator_map(source, target, gens, images):
+    """Propagate gens[i] -> images[i] over <gens> by BFS.
+
+    Returns the induced map on the generated subgroup, or None when two
+    paths to the same element disagree or the map is not injective.
+    """
+    mapping = {source.identity: target.identity}
+    frontier = [source.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, img in zip(gens, images):
+                y = source.mul(x, g)
+                ty = target.mul(mapping[x], img)
+                if y in mapping:
+                    if mapping[y] != ty:
+                        return None
+                else:
+                    mapping[y] = ty
+                    new.append(y)
+        frontier = new
+    if len(set(mapping.values())) != len(mapping):
+        return None
+    return mapping
+
+
+def group_isomorphisms_reference(source, target):
+    """All isomorphisms source -> target as image tuples (index maps).
+
+    Backtracks over images of a generating sequence, pruning with element
+    orders and path consistency.  Deterministic order.
+    """
+    if source.order != target.order:
+        return []
+    gens = generating_sequence(source)
+    if not gens:  # trivial group
+        return [(target.identity,)]
+    by_order = {}
+    for t in target.indices():
+        by_order.setdefault(target.element_order(t), []).append(t)
+
+    results = []
+
+    def full_check(mapping):
+        for a in source.indices():
+            for b in source.indices():
+                if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
+                    return False
+        return True
+
+    def extend(k, images):
+        if k == len(gens):
+            mapping = _close_generator_map(source, target, gens, images)
+            if mapping is not None and len(mapping) == source.order and full_check(mapping):
+                results.append(tuple(mapping[x] for x in source.indices()))
+            return
+        for cand in by_order.get(source.element_order(gens[k]), []):
+            images.append(cand)
+            if _close_generator_map(source, target, gens[: k + 1], images) is not None:
+                extend(k + 1, images)
+            images.pop()
+
+    extend(0, [])
+    return sorted(results)
 
 
 def associativity_reference(T):

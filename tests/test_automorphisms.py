@@ -1,12 +1,19 @@
-"""Locality automorphisms: the coset search against the full backtrack,
-and the per-instance memo.
+"""Locality automorphisms and homomorphism completions: the searches
+over generator images against the old element-by-element backtrack, and
+the per-instance memo.
 
 `locality_automorphisms` finds one isomorphism over each automorphism of
 S and multiplies it by the rigid automorphisms.  These tests compare it
 with `oracles.locality_automorphisms_reference`, which completes every
-automorphism of S exhaustively, on the shipped fixtures, on their
-transporter-bridge localities and on a restriction; they pin down what
-the memo keeps; and they check that the generating sequence of
+automorphism of S exhaustively, and compare `hom_completions` and
+`group_isomorphisms` with the searches they replaced
+(`oracles.hom_completions_reference`, `oracles.group_isomorphisms_reference`),
+on the shipped fixtures, on their transporter-bridge localities, on a
+restriction and on the A6 pair of the benchmark.  With every candidate
+list widened to all elements the results stay the same, so they do not
+rest on the pruning, and a map whose products the search never forms is
+dropped by the certificate alone.  The tests also pin down what
+the memo keeps, and check that the generating sequence of
 `automorphism_group` spans Aut(L).
 """
 
@@ -15,7 +22,7 @@ import os
 
 import pytest
 
-from loclab import cli, extension
+from loclab import cli, extension, groups
 from loclab.extension import (
     automorphism_group,
     compose_maps,
@@ -24,7 +31,8 @@ from loclab.extension import (
     locality_automorphisms,
     rigid_automorphisms,
 )
-from loclab.groups import parse_group
+from loclab.fixtures import build_fixture
+from loclab.groups import automorphisms, parse_group
 from loclab.locality import Locality, locality_from_group
 from loclab.transporter import locality_of_transporter, transporter_of_locality
 
@@ -33,6 +41,8 @@ import test_domain_table
 from test_locality import S5_DOC, _mutate, s5_transposition_objects
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+A6PAIR = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures",
+                      "a6pair.json")
 
 FIXTURE_LOCS = ["a4/L", "c2/L", "d8/L", "s4/Lcr", "s4/Lplus", "s5/L"]
 NAMES = FIXTURE_LOCS + [f"{n} bridge" for n in FIXTURE_LOCS] + ["s5 restriction"]
@@ -55,23 +65,85 @@ def _localities() -> dict:
     return locs
 
 
+A6_NAMES = ["a6pair/Lcr", "a6pair/Lcr bridge"]
+_A6: dict = {}
+
+
+def _locality(name: str) -> Locality:
+    """A locality of NAMES, or the A6 pair's Lcr or its transporter bridge."""
+    if name not in A6_NAMES:
+        return _localities()[name]
+    if not _A6:
+        bundle, _ = build_fixture(A6PAIR)
+        loc = bundle.localities["Lcr"]
+        _A6[A6_NAMES[0]] = loc
+        _A6[A6_NAMES[1]] = locality_of_transporter(transporter_of_locality(loc))
+    return _A6[name]
+
+
 def test_every_fixture_locality_is_covered():
     assert sorted(_localities()) == sorted(NAMES)
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + A6_NAMES)
 def test_coset_search_matches_full_backtrack(name):
-    loc = _localities()[name]
+    loc = _locality(name)
     assert locality_automorphisms(loc) == oracles.locality_automorphisms_reference(loc)
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", NAMES + A6_NAMES)
 def test_rigid_automorphisms_are_the_pinned_identity_completions(name):
-    loc = _localities()[name]
+    loc = _locality(name)
     pinned = {x: x for x in loc.pg.s_members}
-    expected = [a for a in hom_completions(loc, loc, pinned)
+    expected = [a for a in oracles.hom_completions_reference(loc, loc, pinned)
                 if iso_defect(loc, loc, a) is None]
     assert rigid_automorphisms(loc) == expected
+
+
+@pytest.mark.parametrize("name", NAMES + A6_NAMES)
+def test_identity_pinned_completions_match_the_reference(name):
+    loc = _locality(name)
+    pinned = {x: x for x in loc.pg.s_members}
+    assert hom_completions(loc, loc, pinned) \
+        == oracles.hom_completions_reference(loc, loc, pinned)
+
+
+def test_restriction_completions_into_the_parent_match_the_reference():
+    restr = _localities()["s5 restriction"]
+    parent = restr.parent
+    pinned = {x: restr.parent_index[x] for x in restr.pg.s_members}
+    found = hom_completions(restr, parent, pinned)
+    assert tuple(restr.parent_index) in found
+    assert found == oracles.hom_completions_reference(restr, parent, pinned)
+
+
+@pytest.mark.parametrize("name", NAMES + A6_NAMES)
+def test_s_automorphisms_match_the_reference(name):
+    sg = _locality(name).s_group()
+    assert automorphisms(sg) == oracles.group_isomorphisms_reference(sg, sg)
+
+
+@pytest.mark.parametrize("name", NAMES + A6_NAMES)
+def test_widened_candidates_change_no_certified_result(name, monkeypatch):
+    """Every generator tries every element and `allowed` admits
+    everything: only the closure and the certificates then decide what
+    is kept."""
+    loc = _locality(name)
+    pinned = {x: x for x in loc.pg.s_members}
+    sg = loc.s_group()
+    expected = (extension.search_automorphisms(loc),
+                hom_completions(loc, loc, pinned), automorphisms(sg))
+    real = groups.generator_image_search
+
+    def widened(src_pairs, dst_pairs, src_inv, dst_inv, pinned, gens,
+                candidates, allowed=None, injective=False):
+        return real(src_pairs, dst_pairs, src_inv, dst_inv, pinned, gens,
+                    lambda g: range(len(dst_inv)), None, injective)
+
+    monkeypatch.setattr(groups, "generator_image_search", widened)
+    monkeypatch.setattr(extension, "generator_image_search", widened)
+    assert (extension.search_automorphisms(loc),
+            hom_completions(loc, loc, pinned), automorphisms(sg)) == expected
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -83,6 +155,19 @@ def test_the_generating_sequence_spans_aut(name):
     gens = [group.tokens[g] for g in group.generators]
     assert oracles.span_reference(compose_maps, tuple(range(loc.size)),
                                   gens) == group.tokens
+
+
+def test_the_certificate_rejects_a_map_the_search_never_checks():
+    """S is all of d8/L, so a pinned map has an image for every element
+    and the search yields it without forming a product.  Swapping the two
+    rotations of order 4 keeps every object and breaks products: only
+    `hom_defect` drops it."""
+    loc = _locality("d8/L")
+    r, r3 = loc.element("(1 2 3 4)"), loc.element("(1 4 3 2)")
+    swap = {x: x for x in range(loc.size)}
+    swap[r], swap[r3] = r3, r
+    assert hom_completions(loc, loc, swap) == []
+    assert oracles.hom_completions_reference(loc, loc, swap) == []
 
 
 def _fresh_s5():

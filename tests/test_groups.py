@@ -193,7 +193,15 @@ def test_group_isomorphisms_cross_carrier(s4, d8):
     for i in view.indices():
         for j in view.indices():
             assert phi[view.mul(i, j)] == d8.mul(phi[i], phi[j])
-    assert not groups.are_isomorphic(view, parse_group(C2_DOC))
+    assert groups.group_isomorphisms(view, parse_group(C2_DOC)) == []
+
+
+def test_group_isomorphisms_match_the_reference(s4, d8):
+    view = subgroup_view(s4, sylow_p(s4, 2).members)
+    for source, target in ((view, d8), (d8, view), (d8, d8), (s4, s4),
+                           (view, parse_group(C2_DOC))):
+        assert groups.group_isomorphisms(source, target) \
+            == oracles.group_isomorphisms_reference(source, target)
 
 
 @given(st.data())

@@ -187,9 +187,9 @@ def test_dropped_pair_fails_the_structure_checks():
 def test_report_scans_each_locality_once_per_bound(validations, systems, capsys):
     assert cli.main(["report", os.path.join(FIXTURE_DIR, "s4.json")]) == 0
     capsys.readouterr()
-    # one certificate for each locality: Lcr as built, Lplus, and the
-    # restriction of Lplus that replaces Lcr
-    assert [n for _, n in validations.values()] == [1, 1, 1]
+    # one certificate for each locality: Lplus, and the restriction of
+    # Lplus that is Lcr; Lcr is never built from the group
+    assert [n for _, n in validations.values()] == [1, 1]
     # Lcr, Lplus and the full subcategory of Lplus on the objects of Lcr
     assert systems[0] == 3
 
