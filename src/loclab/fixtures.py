@@ -50,8 +50,6 @@ from .groups import FiniteGroup, GroupBuildError, parse_group, subgroup_closure,
 from .locality import (
     Locality,
     LocalityBuildError,
-    _subgroups_of_view,
-    close_object_family,
     locality_from_group,
     restriction,
     validate_locality,
@@ -226,24 +224,16 @@ def _subgroup_members(group: FiniteGroup, s_amb: frozenset[int], sub_gens,
     return members
 
 
-def _closure_witness(group: FiniteGroup, s_amb: frozenset[int],
+def _closure_witness(group: FiniteGroup, p: int,
                      fam: list[frozenset[int]]) -> str | None:
-    """Cycle-notation witness that fam is not closed, or None."""
-    famset = set(fam)
-    for P in fam:
-        for g in group.indices():
-            img = frozenset(group.conj(x, g) for x in P)
-            if img <= s_amb and img not in famset:
-                return (f"conjugate of {{{_members_label(group, P)}}} by "
-                        f"{group.label(g)} is missing from the family")
-    for Q in _subgroups_of_view(group, s_amb):
-        if Q in famset:
-            continue
-        for P in fam:
-            if P <= Q:
-                return (f"overgroup {{{_members_label(group, Q)}}} of "
-                        f"{{{_members_label(group, P)}}} is missing from the family")
-    return None
+    """Cycle-notation witness that fam is not closed, or None; decided by
+    `FusionSystem.family_defect` on F_S(M)."""
+    defect = fusion_from_group(group, p).family_defect(fam)
+    if defect is None:
+        return None
+    kind, P, Q = defect
+    return (f"{kind} {{{_members_label(group, Q)}}} of "
+            f"{{{_members_label(group, P)}}} is missing from the family")
 
 
 def _members_label(group: FiniteGroup, members: Iterable[int]) -> str:
@@ -281,7 +271,7 @@ def _resolve_objects(group: FiniteGroup, p: int, spec: dict, where: str,
             return None
         fam.append(members)
     if mode == "explicit":
-        witness = _closure_witness(group, s_amb, fam)
+        witness = _closure_witness(group, p, fam)
         if witness is not None:
             section.add(f"{where} family closed", False, witness)
             return None
@@ -330,8 +320,8 @@ def build_bundle(parsed: ParsedFixture, name: str, *,
                 raise FixtureError(f"pair [{locname}, {big}]: restrict each "
                                    "locality once, big sides first")
             if auto:
-                fam = close_object_family(
-                    group, frozenset(sylow_p(group, parsed.p).members), fam)
+                fam = [frozenset(P) for P in
+                       fusion_from_group(group, parsed.p).family_closure(fam)]
             loc_big = locs[big]
             by_family = {frozenset(loc_big.carrier[x] for x in P): P
                          for P in loc_big.objects}

@@ -14,6 +14,12 @@ image of sorted(P)[i].  For each subgroup P we store the full set of
 embedding tuples reachable from the identity embedding by composing
 generator maps; hom sets, isomorphism sets and automorphism groups are
 all derived from that table.
+
+Object families.  The objects of a locality or a transporter system are
+closed under F-conjugacy and overgroups in S.  `family_closure` and
+`family_defect` are the one place that closes a family and decides that
+it is closed.  The systems of a group (per prime) and of a locality are
+kept on it, so a decision costs no extra build.
 """
 
 from __future__ import annotations
@@ -167,6 +173,46 @@ class FusionSystem:
             seen.update(cls)
             out.append(cls)
         return out
+
+    # ---- object families ----------------------------------------------------
+
+    def family_closure(self, seeds: Iterable[Iterable[int]]) -> list[SubTuple]:
+        """The least family of subgroups of S that holds the seeds and is
+        closed under F-conjugacy and under overgroups in S, in subgroup order.
+
+        It is the set of overgroups of the F-conjugates of the seeds, found
+        in one pass: if R contains a conjugate Q of a seed and phi is a
+        morphism out of R, then phi(R) contains phi(Q), again a conjugate
+        of that seed, so every conjugate and every overgroup of R is in the
+        set already.
+        """
+        conj = {frozenset(Q) for P in seeds for Q in self.conjugacy_class(P)}
+        return [R for R, members in zip(self.subgroups, self._member_sets)
+                if any(Q <= members for Q in conj)]
+
+    def family_defect(self, family: Iterable[Iterable[int]]
+                      ) -> tuple[str, SubTuple, SubTuple] | None:
+        """The first way a family of subgroups of S fails to be closed under
+        F-conjugacy and overgroups in S, or None when it is closed.
+
+        Conjugates come first: ("conjugate", P, Q) for the first member P,
+        in the given order, with a conjugate Q outside the family (Q the
+        first in subgroup order).  Then ("overgroup", P, Q) for the first
+        non-member Q in subgroup order that contains a member, P the first
+        such member in the given order.
+        """
+        fam = [self.canon(P) for P in family]
+        members = set(fam)
+        for P in fam:
+            for Q in self.conjugacy_class(P):
+                if Q not in members:
+                    return "conjugate", P, Q
+        for Q, qset in zip(self.subgroups, self._member_sets):
+            if Q not in members:
+                for P in fam:
+                    if qset.issuperset(P):
+                        return "overgroup", P, Q
+        return None
 
     # ---- subgroup arithmetic inside S ------------------------------------
 
@@ -512,24 +558,27 @@ def generated_fusion(p: int, s: Iterable[int], mul: Callable[[int, int], int],
     return FusionSystem(p, s, mul, inv, emb, label_fn=label_fn)
 
 
-def fusion_from_group(group: FiniteGroup, p: int,
-                      s_members: Iterable[int] | None = None) -> FusionSystem:
-    """The fusion system of a finite group on a Sylow p-subgroup:
-    morphisms are the conjugation maps c_g between subgroups of S."""
-    if s_members is None:
-        s_members = sylow_p(group, p).members
-    s = tuple(sorted(s_members))
-    s_set = set(s)
-    gens = []
-    for g in group.indices():
-        dom = frozenset(x for x in s if group.conj(x, g) in s_set)
-        gens.append((dom, {x: group.conj(x, g) for x in dom}))
-    return generated_fusion(p, s, group.mul, group.inv, gens, label_fn=group.label)
+def fusion_from_group(group: FiniteGroup, p: int) -> FusionSystem:
+    """The fusion system of a finite group on its Sylow p-subgroup
+    `sylow_p(group, p)`: morphisms are the conjugation maps c_g between
+    subgroups of S.  The system is kept on the group, per p."""
+    if p not in group._fusion_cache:
+        s = tuple(sorted(sylow_p(group, p).members))
+        s_set = set(s)
+        gens = []
+        for g in group.indices():
+            dom = frozenset(x for x in s if group.conj(x, g) in s_set)
+            gens.append((dom, {x: group.conj(x, g) for x in dom}))
+        group._fusion_cache[p] = generated_fusion(p, s, group.mul, group.inv, gens,
+                                                  label_fn=group.label)
+    return group._fusion_cache[p]
 
 
 def fusion_from_locality(loc) -> FusionSystem:
     """The fusion system of a locality: generated by the conjugation maps
-    c_f on their full domains S_f."""
+    c_f on their full domains S_f.  The system is kept on the locality."""
+    if loc._fusion is not None:
+        return loc._fusion
     pg = loc.pg
 
     def mul(a: int, b: int) -> int:
@@ -539,8 +588,9 @@ def fusion_from_locality(loc) -> FusionSystem:
         return c
 
     gens = [(frozenset(cmap), dict(cmap)) for cmap in pg.conj_maps]
-    return generated_fusion(loc.p, pg.s_members, mul, lambda i: pg.inv[i], gens,
-                            label_fn=lambda i: pg.labels[i])
+    loc._fusion = generated_fusion(loc.p, pg.s_members, mul, lambda i: pg.inv[i],
+                                   gens, label_fn=lambda i: pg.labels[i])
+    return loc._fusion
 
 
 # ---- structural validation ---------------------------------------------------

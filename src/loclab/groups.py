@@ -35,6 +35,7 @@ class FiniteGroup:
         self.identity: int = 0
         self._inv: tuple[int, ...] = ()
         self._sylow_cache: dict[int, Subgroup] = {}  # sylow_p, per prime
+        self._fusion_cache: dict = {}  # fusion.fusion_from_group, per prime
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .fusion import FusionSystem, fusion_from_group, fusion_from_locality
 from .groups import (
     FiniteGroup,
     GroupBuildError,
@@ -30,7 +31,6 @@ from .groups import (
     is_p_group,
     subgroup_closure,
     subgroup_lattice,
-    subgroup_view,
     sylow_p,
 )
 from .partial import (
@@ -236,10 +236,11 @@ class Locality:
         self.parent_index = parent_index
         self._s_group: TableGroup | None = None
         # memos of validate_locality (one report answers every k),
-        # transporter_of_locality, extension's automorphism search (the
-        # sorted tuples, their set and the generated group view) and
-        # normal.enumerate_partial_normal
+        # fusion_from_locality, transporter_of_locality, extension's
+        # automorphism search (the sorted tuples, their set and the
+        # generated group view) and normal.enumerate_partial_normal
         self._validation: LocalityReport | None = None
+        self._fusion: FusionSystem | None = None
         self._transporter = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
         self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
@@ -340,51 +341,13 @@ class Locality:
 # building L_Gamma(M) from a finite group
 
 
-def _subgroups_of_view(group: FiniteGroup, s_members: Iterable[int]) -> list[frozenset[int]]:
-    """All subgroups of <s_members>, as frozensets of `group` indices."""
-    view = subgroup_view(group, s_members)
-    out = []
-    for sub in subgroup_lattice(view):
-        out.append(frozenset(view.tokens[i] for i in sub.members))
-    return out
-
-
-def object_family_closure_defect(group: FiniteGroup, s_members: frozenset[int],
-                                 objs: Sequence[frozenset[int]]) -> str | None:
-    """Why `objs` fails to be closed (conjugation into S, overgroups in S),
-    or None if it is closed."""
-    objset = set(objs)
-    subs_of_s = _subgroups_of_view(group, s_members)
-    for P in objs:
-        for g in group.indices():
-            img = frozenset(group.conj(x, g) for x in P)
-            if img <= s_members and img not in objset:
-                return ("conjugate of an object lands in S but is not an object: "
-                        f"{sorted(P)} ^ {group.label(g)}")
-        for Q in subs_of_s:
-            if P <= Q and Q not in objset:
-                return (f"overgroup of an object is missing: {sorted(P)} <= {sorted(Q)}")
-    return None
-
-
-def close_object_family(group: FiniteGroup, s_members: frozenset[int],
-                        seeds: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Close seeds under conjugation into S and overgroups in S."""
-    subs_of_s = _subgroups_of_view(group, s_members)
-    pool = {frozenset(P) for P in seeds}
-    while True:
-        new: set[frozenset[int]] = set()
-        for P in pool:
-            for g in group.indices():
-                img = frozenset(group.conj(x, g) for x in P)
-                if img <= s_members and img not in pool:
-                    new.add(img)
-            for Q in subs_of_s:
-                if P <= Q and Q not in pool:
-                    new.add(Q)
-        if not new:
-            return canonical_objects(pool)
-        pool |= new
+def _require_closed(F: FusionSystem, objs: Iterable[Iterable[int]]) -> None:
+    """Raise LocalityBuildError on the witness of `F.family_defect`."""
+    defect = F.family_defect(objs)
+    if defect is not None:
+        kind, P, Q = defect
+        raise LocalityBuildError(f"object family is not closed: the {kind} "
+                                 f"{sorted(Q)} of {sorted(P)} is missing")
 
 
 def locality_from_group(group: FiniteGroup, p: int,
@@ -393,8 +356,10 @@ def locality_from_group(group: FiniteGroup, p: int,
     """Build (L_Gamma(M), Gamma, S) for M = group and S its Sylow p-subgroup.
 
     `objects` lists subgroups of S by their members (group element indices).
-    With auto_close=True the family is closed under conjugation into S and
-    overgroups in S first; otherwise a family that is not closed is an error.
+    With auto_close=True the family is first closed under conjugation into S
+    and overgroups in S; otherwise a family that is not closed is an error.
+    Both are decided on F_S(M) (`FusionSystem.family_closure` and
+    `FusionSystem.family_defect`), which is kept on the group.
     """
     s_sub = sylow_p(group, p)
     s_amb = s_sub.member_set()
@@ -409,12 +374,11 @@ def locality_from_group(group: FiniteGroup, p: int,
         fam.append(mem)
     if not fam:
         raise LocalityBuildError("the object family is empty")
+    F = fusion_from_group(group, p)
     if auto_close:
-        fam = list(close_object_family(group, s_amb, fam))
+        fam = F.family_closure(fam)
     else:
-        defect = object_family_closure_defect(group, s_amb, fam)
-        if defect is not None:
-            raise LocalityBuildError(defect)
+        _require_closed(F, fam)
     objs = canonical_objects(fam)
     objset = set(objs)
 
@@ -482,7 +446,8 @@ def restriction(loc: Locality, objects: Iterable[Iterable[int]]) -> Locality:
     """The restriction of a locality to a smaller object family.
 
     The family must be a nonempty subset of the objects, closed under
-    conjugation and overgroups.  The new carrier is {f : S_f in the new
+    conjugation and overgroups, as `FusionSystem.family_defect` decides on
+    the fusion system of loc.  The new carrier is {f : S_f in the new
     family}; S_f of every surviving element is unchanged, which is
     asserted.
     """
@@ -494,16 +459,7 @@ def restriction(loc: Locality, objects: Iterable[Iterable[int]]) -> Locality:
     for P in objs:
         if P not in loc.object_set:
             raise LocalityBuildError(f"{sorted(P)} is not an object of the locality")
-        for f in range(pg.size):
-            if P <= pg.s_f(f):
-                img = frozenset(pg.conj_maps[f][x] for x in P)
-                if img not in objset:
-                    raise LocalityBuildError(
-                        f"family is not closed under conjugation: {sorted(P)} ^ {pg.labels[f]}")
-        for Q in loc.objects:
-            if P <= Q and Q not in objset:
-                raise LocalityBuildError(
-                    f"family is not closed under overgroups: {sorted(P)} <= {sorted(Q)}")
+    _require_closed(fusion_from_locality(loc), objs)
 
     keep = [f for f in range(pg.size) if pg.s_f(f) in objset]
     sub = sub_locality(loc, keep, objs)

@@ -89,20 +89,12 @@ def partial_normal_defect(loc: Locality, members: Iterable[int]) -> str | None:
     return None
 
 
-def _fusion_of(loc: Locality) -> FusionSystem:
-    cached = getattr(loc, "_fusion_cache", None)
-    if cached is None:
-        cached = fusion_from_locality(loc)
-        loc._fusion_cache = cached
-    return cached
-
-
 def _as_partial_normal(loc: Locality, members: frozenset[int]) -> PartialNormalSet:
     defect = partial_normal_defect(loc, members)
     if defect is not None:
         raise NormalError(f"not partial normal: {defect}")
     n = PartialNormalSet(loc, members)
-    if not _fusion_of(loc).is_strongly_closed(tuple(sorted(n.t))):
+    if not fusion_from_locality(loc).is_strongly_closed(tuple(sorted(n.t))):
         raise NormalError("internal: S meet N is not strongly closed")
     return n
 
@@ -350,7 +342,7 @@ def linking_defect(loc: Locality) -> str | None:
     group of characteristic p, and the centric radical subgroups are all
     objects.
     """
-    fus = _fusion_of(loc)
+    fus = fusion_from_locality(loc)
     if not fus.is_saturated():
         return "fusion system is not saturated"
     for P in loc.objects:
@@ -466,8 +458,8 @@ def verify_normal_correspondence(plus: Locality, restr: Locality,
         if defect is not None:
             raise NormalError(f"{name} locality is not linking: {defect}")
     pi = restr.parent_index
-    fus_plus = _fusion_of(plus)
-    fus_small = _fusion_of(restr)
+    fus_plus = fusion_from_locality(plus)
+    fus_small = fusion_from_locality(restr)
     translated = {
         (tuple(pi[x] for x in P), tuple(pi[x] for x in Q)):
         frozenset(tuple(pi[x] for x in img) for img in embs)

@@ -241,14 +241,14 @@ def transporter_defect(T: TransporterSystem) -> str | None:
     """Why the tables fail the transporter category axioms, else None.
 
     The checks cover: the object family is closed under fusion-system
-    conjugacy and overgroups; the composition table is total on
-    composable pairs, unital and associative; delta and pi are functors
-    with the window and projection properties; conjugation inside S is
-    reflected by delta and projected by pi; the projection is surjective
-    with fibers permuted freely by the kernel of pi on the target
-    automorphism group; the image of S is Sylow in Aut(S); isomorphisms
-    extend along normalizing overgroups; and every morphism is monic and
-    epic.
+    conjugacy and overgroups (`FusionSystem.family_defect` on T.fusion);
+    the composition table is total on composable pairs, unital and
+    associative; delta and pi are functors with the window and projection
+    properties; conjugation inside S is reflected by delta and projected
+    by pi; the projection is surjective with fibers permuted freely by the
+    kernel of pi on the target automorphism group; the image of S is Sylow
+    in Aut(S); isomorphisms extend along normalizing overgroups; and every
+    morphism is monic and epic.
 
     Associativity is Light's test on `T.generators` (Clifford–Preston,
     *The Algebraic Theory of Semigroups* I, §1.2).  Call g good when
@@ -270,15 +270,11 @@ def transporter_defect(T: TransporterSystem) -> str | None:
     if all_s not in T.object_set:
         return "S itself is not an object"
     s_idx = T.object_set[all_s]
-    for P in T.objects:
-        for R in F.subgroups:
-            if P <= set(R) and frozenset(R) not in T.object_set:
-                return (f"object family is not closed under overgroups: "
-                        f"{sorted(P)} <= {sorted(R)}")
-        for R in F.conjugacy_class(P):
-            if frozenset(R) not in T.object_set:
-                return (f"object family is not closed under conjugacy: "
-                        f"{sorted(P)} moves to {sorted(R)}")
+    defect = F.family_defect(T.objects)
+    if defect is not None:
+        kind, P, R = defect
+        return (f"object family is not closed: the {kind} {sorted(R)} of "
+                f"{sorted(P)} is missing")
 
     # source/target and composition bookkeeping
     for (j, i), k in T.compose.items():
@@ -550,19 +546,14 @@ def transporter_of_group(group: FiniteGroup, objects: Iterable[Iterable[int]],
 def full_subcategory(T: TransporterSystem,
                      objects: Iterable[Iterable[int]]) -> TransporterSystem:
     """Restrict to a subfamily of objects; it must remain closed under
-    fusion-system conjugacy and overgroups inside S."""
+    fusion-system conjugacy and overgroups inside S, as
+    `FusionSystem.family_defect` decides on T.fusion."""
     keep = {T.object_index(P) for P in objects}
-    for i in keep:
-        P = T.objects[i]
-        for R in T.fusion.subgroups:
-            if P <= set(R) and T.object_set[frozenset(R)] not in keep:
-                raise TransporterError(
-                    f"family drops the overgroup {sorted(R)} of {sorted(P)}")
-        for R in T.fusion.conjugacy_class(P):
-            if T.object_set[frozenset(R)] not in keep:
-                raise TransporterError(
-                    f"family drops the conjugate {sorted(R)} of {sorted(P)}")
     old_objects = [T.objects[i] for i in sorted(keep)]
+    defect = T.fusion.family_defect(old_objects)
+    if defect is not None:
+        kind, P, R = defect
+        raise TransporterError(f"family drops the {kind} {sorted(R)} of {sorted(P)}")
     new_of_old = {i: j for j, i in enumerate(sorted(keep))}
     ids = [m for m in range(T.mor_count)
            if T.src[m] in keep and T.dst[m] in keep]

@@ -305,8 +305,7 @@ def fusion_suite(bundle: FixtureBundle, *, max_word_len: int = 3,
     for name, loc in bundle.localities.items():
         fus = fusion_from_locality(loc)
         if loc.ambient is not None and loc.carrier is not None:
-            s_amb = frozenset(loc.carrier[x] for x in loc.s)
-            ref = fusion_from_group(loc.ambient, loc.p, s_members=s_amb)
+            ref = fusion_from_group(loc.ambient, loc.p)
             translated = {
                 (tuple(loc.carrier[x] for x in P), tuple(loc.carrier[x] for x in Q)):
                 frozenset(tuple(loc.carrier[x] for x in img) for img in embs)

@@ -8,7 +8,10 @@ functoriality of transporter systems by scans over every composable triple
 or pair instead of a generating set.  Two more scan what the library
 decides on generators: the multiplicativity of the restriction of
 automorphisms over every pair, and the automorphisms of a transporter
-system by the exhaustive search tree instead of a stabilizer chain.  Two
+system by the exhaustive search tree instead of a stabilizer chain.
+`close_object_family` and `object_family_closure_defect` close and test
+an object family by conjugating every subgroup by every element of the
+ambient group, where the library reads the fusion system.  Two
 keep the map searches that the library's generator-image search
 replaced: `hom_completions_reference` assigns every element in turn, and
 `group_isomorphisms_reference` rebuilds each partial map from scratch;
@@ -38,11 +41,12 @@ from loclab.extension import (
     locality_automorphisms,
     restrict_automorphism,
 )
-from loclab.groups import generating_sequence
+from loclab.groups import generating_sequence, subgroup_lattice, subgroup_view
 from loclab.locality import (
     LocalityCheck,
     LocalityReport,
     _thread,
+    canonical_objects,
     locality_structure_checks,
 )
 from loclab.partial import (
@@ -132,6 +136,51 @@ def group_fusion_hom_sets(M, s_members):
             if maps:
                 homs[(P, Q)] = frozenset(maps)
     return homs
+
+
+def _subgroups_of_view(group, s_members):
+    """All subgroups of <s_members>, as frozensets of `group` indices."""
+    view = subgroup_view(group, s_members)
+    out = []
+    for sub in subgroup_lattice(view):
+        out.append(frozenset(view.tokens[i] for i in sub.members))
+    return out
+
+
+def object_family_closure_defect(group, s_members, objs):
+    """Why `objs` fails to be closed (conjugation into S, overgroups in S),
+    or None if it is closed."""
+    objset = set(objs)
+    subs_of_s = _subgroups_of_view(group, s_members)
+    for P in objs:
+        for g in group.indices():
+            img = frozenset(group.conj(x, g) for x in P)
+            if img <= s_members and img not in objset:
+                return ("conjugate of an object lands in S but is not an object: "
+                        f"{sorted(P)} ^ {group.label(g)}")
+        for Q in subs_of_s:
+            if P <= Q and Q not in objset:
+                return (f"overgroup of an object is missing: {sorted(P)} <= {sorted(Q)}")
+    return None
+
+
+def close_object_family(group, s_members, seeds):
+    """Close seeds under conjugation into S and overgroups in S."""
+    subs_of_s = _subgroups_of_view(group, s_members)
+    pool = {frozenset(P) for P in seeds}
+    while True:
+        new = set()
+        for P in pool:
+            for g in group.indices():
+                img = frozenset(group.conj(x, g) for x in P)
+                if img <= s_members and img not in pool:
+                    new.add(img)
+            for Q in subs_of_s:
+                if P <= Q and Q not in pool:
+                    new.add(Q)
+        if not new:
+            return canonical_objects(pool)
+        pool |= new
 
 
 def powerset_partial_normals(pg):

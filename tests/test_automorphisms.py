@@ -38,7 +38,7 @@ from loclab.transporter import locality_of_transporter, transporter_of_locality
 
 import oracles
 import test_domain_table
-from test_locality import S5_DOC, _mutate, s5_transposition_objects
+from test_locality import S4_DOC, S5_DOC, _mutate, s5_transposition_objects
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 A6PAIR = os.path.join(os.path.dirname(__file__), "..", "bench", "fixtures",
@@ -168,6 +168,48 @@ def test_the_certificate_rejects_a_map_the_search_never_checks():
     swap[r], swap[r3] = r3, r
     assert hom_completions(loc, loc, swap) == []
     assert oracles.hom_completions_reference(loc, loc, swap) == []
+
+
+D8_DOC = {"degree": 4, "generators": [[[1, 2, 3, 4]], [[1, 3]]]}
+
+
+def _forging(real):
+    """`generator_image_search` that yields, after the real maps, the
+    first of them with the images of the identity and of one other element
+    swapped: a map that is not a homomorphism, so only the caller's
+    certificate can drop it."""
+    def forged(src_pairs, dst_pairs, src_inv, dst_inv, *args, **kwargs):
+        first = None
+        for full in real(src_pairs, dst_pairs, src_inv, dst_inv, *args, **kwargs):
+            first = first or full
+            yield full
+        if first is not None and len(first) > 1:
+            e = next(x for x in range(len(src_inv)) if src_pairs.get((x, x)) == x)
+            other = 1 if e == 0 else 0
+            bad = list(first)
+            bad[e], bad[other] = bad[other], bad[e]
+            yield tuple(bad)
+    return forged
+
+
+def test_the_certificates_drop_a_forged_map(monkeypatch):
+    """With one forged map among the search results, the automorphism
+    search, the completions and the group isomorphisms return exactly
+    what they return without it: each certificate is needed."""
+    locs = [_locality("s4/Lcr"), _locality("a6pair/Lcr")]
+    grps = [parse_group(doc) for doc in (S4_DOC, D8_DOC)]
+
+    def results():
+        return ([(extension.search_automorphisms(loc),
+                  hom_completions(loc, loc, {x: x for x in loc.pg.s_members}))
+                 for loc in locs],
+                [groups.group_isomorphisms(g, g) for g in grps])
+
+    expected = results()
+    forged = _forging(groups.generator_image_search)
+    monkeypatch.setattr(groups, "generator_image_search", forged)
+    monkeypatch.setattr(extension, "generator_image_search", forged)
+    assert results() == expected
 
 
 def _fresh_s5():

@@ -45,9 +45,8 @@ def _transporters() -> dict:
         s4 = parse_group(S4_DOC)
         objs = s4_cr_objects(s4)
         T = transporter_of_group(s4, objs)
-        s_amb = max(objs, key=len)
-        tok = {x: i for i, x in enumerate(sorted(s_amb))}
-        _CACHE["s4 group"] = (T, _retoken(fusion_from_group(s4, 2, s_amb), tok, T))
+        tok = {x: i for i, x in enumerate(sorted(max(objs, key=len)))}
+        _CACHE["s4 group"] = (T, _retoken(fusion_from_group(s4, 2), tok, T))
     return _CACHE
 
 

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loclab.fixtures import build_fixture
+from loclab.fusion import fusion_from_group
 from loclab.groups import parse_group, sylow_p, subgroup_lattice, subgroup_view
 from loclab.locality import (
     ChainPartialGroup,
     Locality,
     LocalityBuildError,
     canonical_objects,
-    close_object_family,
     locality_from_group,
-    object_family_closure_defect,
     restriction,
     validate_locality,
 )
@@ -262,9 +261,9 @@ def test_missing_conjugate_is_rejected(s5):
     objs = s5_transposition_objects(s5)
     two = sorted((P for P in objs if len(P) == 2), key=sorted)
     partial_family = [two[0]] + [P for P in objs if len(P) >= 4]
-    defect = object_family_closure_defect(
-        s5, sylow_p(s5, 2).member_set(), canonical_objects(partial_family))
-    assert defect is not None and "conjugate" in defect
+    defect = fusion_from_group(s5, 2).family_defect(
+        canonical_objects(partial_family))
+    assert defect is not None and defect[0] == "conjugate"
     with pytest.raises(LocalityBuildError, match="conjugate"):
         locality_from_group(s5, 2, partial_family)
 
@@ -272,8 +271,8 @@ def test_missing_conjugate_is_rejected(s5):
 def test_auto_close_completes_the_family(s5):
     objs = s5_transposition_objects(s5)
     seed = min((P for P in objs if len(P) == 2), key=sorted)
-    closed = close_object_family(s5, sylow_p(s5, 2).member_set(), [seed])
-    assert set(closed) == set(canonical_objects(objs))
+    closed = fusion_from_group(s5, 2).family_closure([seed])
+    assert set(canonical_objects(closed)) == set(canonical_objects(objs))
     loc = locality_from_group(s5, 2, [seed], auto_close=True)
     assert loc.size == 40
 
