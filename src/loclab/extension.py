@@ -83,6 +83,8 @@ def hom_defect(src: Locality, dst: Locality, alpha: Sequence[int]) -> str | None
     for f in range(spg.size):
         cf = spg.conj_maps[f]
         cg = dpg.conj_maps[alpha[f]]
+        if [cg.get(alpha[x]) for x in cf] == [alpha[y] for y in cf.values()]:
+            continue
         for x, y in cf.items():
             if alpha[x] not in cg:
                 return (f"image of {spg.labels[x]} escapes the conjugation "
@@ -90,14 +92,25 @@ def hom_defect(src: Locality, dst: Locality, alpha: Sequence[int]) -> str | None
             if cg[alpha[x]] != alpha[y]:
                 return (f"conjugation of {spg.labels[x]} by {spg.labels[f]} "
                         "is not preserved")
-    for (a, b), c in spg.pairs.items():
-        d = dpg.pair(alpha[a], alpha[b])
-        if d is None:
-            return (f"product ({spg.labels[a]}, {spg.labels[b]}) maps outside "
-                    "the target domain")
-        if d != alpha[c]:
-            return (f"product ({spg.labels[a]}, {spg.labels[b]}) is not "
-                    "preserved")
+    # each row is compared whole first; a row that differs is walked for
+    # its first witness
+    drows, alpha_at = dpg.rows, alpha.__getitem__
+    for a, row in enumerate(spg.rows):
+        image_row = drows[alpha[a]]
+        if None in row:
+            defined = [b for b, c in enumerate(row) if c is not None]
+            if ([alpha[row[b]] for b in defined] ==
+                    [image_row[alpha[b]] for b in defined]):
+                continue
+        elif list(map(alpha_at, row)) == list(map(image_row.__getitem__, alpha)):
+            continue
+        for b, c in enumerate(row):
+            if c is not None and image_row[alpha[b]] != alpha[c]:
+                if image_row[alpha[b]] is None:
+                    return (f"product ({spg.labels[a]}, {spg.labels[b]}) maps "
+                            "outside the target domain")
+                return (f"product ({spg.labels[a]}, {spg.labels[b]}) is not "
+                        "preserved")
     return None
 
 
@@ -243,7 +256,7 @@ def hom_completions(src: Locality, dst: Locality,
     gens = _generators_over_s(spg, *_map_classes(spg)[1:])
     results: list[tuple[int, ...]] = []
     for full in generator_image_search(
-            spg.pairs, dpg.pairs, spg.inv, dpg.inv, pinned, gens,
+            spg.rows, dpg.rows, spg.inv, dpg.inv, pinned, gens,
             lambda g: _conj_candidates(src, dst, pinned, g)):
         if hom_defect(src, dst, full) is None:
             results.append(full)
@@ -281,7 +294,7 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
                             for P in pg.objects} != set(pg.object_set):
             return iter(())
         maps = generator_image_search(
-            pg.pairs, pg.pairs, pg.inv, pg.inv, alpha_s, gens,
+            pg.rows, pg.rows, pg.inv, pg.inv, alpha_s, gens,
             lambda g: members[want[g]], lambda x, v: cls[v] == want[x],
             injective=True)
         return (full for full in maps if hom_defect(loc, loc, full) is None
@@ -562,9 +575,10 @@ def extend_hom(restr: Locality, tilde: Locality, alpha: Sequence[int],
             if amap[f] != alpha_parent(f):
                 raise ExtensionError("normalizer map disagrees with alpha")
         for a in n_plus:
+            row, image_row = ppg.rows[a], tpg.rows[amap[a]]
             for b in n_plus:
-                c = ppg.pair(a, b)
-                d = tpg.pair(amap[a], amap[b])
+                c = row[b]
+                d = image_row[amap[b]]
                 if c is None or d is None or d != amap[c]:
                     raise ExtensionError("normalizer map is not a group "
                                          "homomorphism")

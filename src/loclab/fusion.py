@@ -580,9 +580,10 @@ def fusion_from_locality(loc) -> FusionSystem:
     if loc._fusion is not None:
         return loc._fusion
     pg = loc.pg
+    rows = pg.rows
 
     def mul(a: int, b: int) -> int:
-        c = pg.pair(a, b)
+        c = rows[a][b]
         if c is None:
             raise FusionBuildError("product undefined inside S")
         return c

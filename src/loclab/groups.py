@@ -442,8 +442,8 @@ def generating_sequence(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def generator_image_search(src_pairs: dict[tuple[int, int], int],
-                           dst_pairs: dict[tuple[int, int], int],
+def generator_image_search(src_rows: Sequence[Sequence[int | None]],
+                           dst_rows: Sequence[Sequence[int | None]],
                            src_inv: Sequence[int], dst_inv: Sequence[int],
                            pinned: dict[int, int], gens: Sequence[int],
                            candidates: Callable[[int], Iterable[int]],
@@ -452,17 +452,18 @@ def generator_image_search(src_pairs: dict[tuple[int, int], int],
     """Maps of partial groups extending `pinned`, depth first over the
     images of `gens`, each taken from `candidates(g)`.
 
-    A partial group is given by its defined pair products and inverses; a
-    group defines every pair.  Each assignment is closed over inverses and
-    over the defined products of elements with images, and fails on a
-    conflict, a product undefined in the target, an image that `allowed`
-    refuses or, with `injective`, an image taken twice.  Complete: a
-    homomorphism is determined by its images of a generating set, so when
-    `pinned` and `gens` generate the source, each homomorphism that
-    extends `pinned`, sends each generator to a candidate and passes
-    `allowed` is yielded once.  Not sound: the closure stops once every
-    element has an image, so the caller keeps only what its exact check
-    passes.
+    A partial group is given by its product rows and inverses:
+    `rows[a][b]` is the product of a and b, or None where the pair is
+    undefined, and a group's rows (its Cayley table) have no None.  Each
+    assignment is closed over inverses and over the defined products of
+    elements with images, and fails on a conflict, a product undefined in
+    the target, an image that `allowed` refuses or, with `injective`, an
+    image taken twice.  Complete: a homomorphism is determined by its
+    images of a generating set, so when `pinned` and `gens` generate the
+    source, each homomorphism that extends `pinned`, sends each generator
+    to a candidate and passes `allowed` is yielded once.  Not sound: the
+    closure stops once every element has an image, so the caller keeps
+    only what its exact check passes.
     """
     n = len(src_inv)
     img = [-1] * n
@@ -488,13 +489,14 @@ def generator_image_search(src_pairs: dict[tuple[int, int], int],
             v = img[x]
             if not assign(src_inv[x], dst_inv[v]):
                 return False
+            src_x, dst_v = src_rows[x], dst_rows[v]
             for y in trail[:head]:
                 w = img[y]
-                c = src_pairs.get((x, y))
-                if c is not None and not assign(c, dst_pairs.get((v, w))):
+                c = src_x[y]
+                if c is not None and not assign(c, dst_v[w]):
                     return False
-                c = src_pairs.get((y, x))
-                if c is not None and not assign(c, dst_pairs.get((w, v))):
+                c = src_rows[y][x]
+                if c is not None and not assign(c, dst_rows[w][v]):
                     return False
         return True
 
@@ -527,17 +529,19 @@ def group_isomorphisms(source: FiniteGroup,
     the source that keep element orders and preserve every product."""
     if source.order != target.order:
         return []
-    src_pairs, dst_pairs = ({(a, b): g.mul(a, b) for a in g.indices()
-                             for b in g.indices()} for g in (source, target))
+    src_rows, dst_rows = (tuple(tuple(g.mul(a, b) for b in g.indices())
+                                for a in g.indices()) for g in (source, target))
     src_orders, dst_orders = ([g.element_order(x) for x in g.indices()]
                               for g in (source, target))
     maps = generator_image_search(
-        src_pairs, dst_pairs, source._inv, target._inv,
+        src_rows, dst_rows, source._inv, target._inv,
         {source.identity: target.identity}, generating_sequence(source),
         lambda g: target.indices(),
         lambda x, v: src_orders[x] == dst_orders[v], injective=True)
-    return sorted(m for m in maps if all(m[c] == dst_pairs[m[a], m[b]]
-                                         for (a, b), c in src_pairs.items()))
+    return sorted(m for m in maps
+                  if all(m[c] == dst_rows[m[a]][m[b]]
+                         for a, row in enumerate(src_rows)
+                         for b, c in enumerate(row)))
 
 
 def automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:

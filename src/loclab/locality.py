@@ -14,6 +14,12 @@ S and a suitable family Gamma: the subset
 
 inherits a partial product from M (defined on the Gamma-threaded words)
 and `locality_from_group` builds exactly this.
+
+A partial group keeps its products of pairs as one row table,
+`ChainPartialGroup.rows`: row a holds the product of a with each b, or
+None where the pair is undefined.  Each builder (`locality_from_group`,
+`sub_locality`, `normal.quotient`, the transporter bridge) fills the
+rows once, and every loop over products reads them by index.
 """
 
 from __future__ import annotations
@@ -56,11 +62,14 @@ def canonical_objects(objects: Iterable[Iterable[int]]) -> tuple[frozenset[int],
 class ChainPartialGroup:
     """Partial group with domain given by conjugation chains through objects.
 
-    Elements are indices 0..n-1.  The data is: the bare pair table, one
+    Elements are indices 0..n-1.  The data is: the product rows, one
     conjugation map per element f (a dict on S_f = {x in S : x^f in S}),
-    the members of S and the object family.  A word w = (f_1, ..., f_n)
-    is in the domain when S_w, the set of x in S whose successive images
-    under the maps stay in S throughout, is itself an object.
+    the members of S and the object family.  `rows[a][b]` is the product
+    of the pair (a, b), or None where the pair is not in the domain; the
+    rows are a tuple of n tuples of n entries, built once by the caller
+    and read by every product loop.  A word w = (f_1, ..., f_n) is in the
+    domain when S_w, the set of x in S whose successive images under the
+    maps stay in S throughout, is itself an object.
 
     Domain queries walk a finite automaton (Epstein et al., *Word
     Processing in Groups*, 1992).  A state is the partial map
@@ -87,7 +96,7 @@ class ChainPartialGroup:
     """
 
     def __init__(self, labels: Sequence[str], inv: Sequence[int], identity: int,
-                 pair_table: dict[tuple[int, int], int],
+                 rows: Sequence[Sequence[int | None]],
                  conj_maps: Sequence[dict[int, int]],
                  s_members: Iterable[int],
                  objects: Iterable[Iterable[int]]):
@@ -95,7 +104,7 @@ class ChainPartialGroup:
         self.size = len(self.labels)
         self.inv = tuple(inv)
         self.identity = identity
-        self.pairs = dict(pair_table)
+        self.rows = tuple(map(tuple, rows))
         self.conj_maps = tuple(dict(m) for m in conj_maps)
         self.s_members = frozenset(s_members)
         self.objects = canonical_objects(objects)
@@ -106,7 +115,7 @@ class ChainPartialGroup:
         self._state_s: list[frozenset[int]] = []
         self._accepts: list[bool] = []
         self.is_full_domain = self._prove_full_domain()
-        if self.is_full_domain and len(self.pairs) != self.size * self.size:
+        if self.is_full_domain and any(None in row for row in self.rows):
             raise LocalityBuildError("domain proof contradicts the pair table")
 
     # -- the domain ---------------------------------------------------------
@@ -152,7 +161,7 @@ class ChainPartialGroup:
         return self._accepts[state]
 
     def pair(self, i: int, j: int) -> int | None:
-        return self.pairs.get((i, j))
+        return self.rows[i][j]
 
     # -- products ---------------------------------------------------------------
 
@@ -165,12 +174,12 @@ class ChainPartialGroup:
     def fold(self, w: Word) -> int:
         if not w:
             return self.identity
+        rows = self.rows
         acc = w[0]
         for f in w[1:]:
-            nxt = self.pair(acc, f)
-            if nxt is None:
+            acc = rows[acc][f]
+            if acc is None:
                 raise UndefinedProductError(w, "fold step left the pair domain")
-            acc = nxt
         return acc
 
     def conj(self, x: int, g: int) -> int | None:
@@ -421,9 +430,10 @@ def locality_from_group(group: FiniteGroup, p: int,
                 m[pos[x]] = pos[y]
         conj_maps.append(m)
 
-    pair_table: dict[tuple[int, int], int] = {}
+    rows = []
     for i in range(len(carrier)):
         ci = conj_maps[i]
+        row: list[int | None] = [None] * len(carrier)
         for j in range(len(carrier)):
             cj = conj_maps[j]
             s_w = frozenset(x for x, y in ci.items() if y in cj)
@@ -431,9 +441,10 @@ def locality_from_group(group: FiniteGroup, p: int,
                 prod = group.mul(carrier[i], carrier[j])
                 if prod not in pos:
                     raise LocalityBuildError("internal: a defined product leaves the carrier")
-                pair_table[(i, j)] = pos[prod]
+                row[j] = pos[prod]
+        rows.append(row)
 
-    pg = ChainPartialGroup(labels, inverse, identity, pair_table, conj_maps,
+    pg = ChainPartialGroup(labels, inverse, identity, rows, conj_maps,
                            s_pg, objs_pg)
     return Locality(pg, p, ambient=group, carrier=carrier)
 
@@ -476,14 +487,14 @@ def sub_locality(loc: Locality, keep: Sequence[int],
 
     Element i of the result is keep[i], with its label, inverse,
     conjugation map, S, objects and carrier read through that index, and
-    loc as its parent.  The pair rule: a pair (a, b) of loc's table is
-    kept when a and b are both kept and S_(a, b) is one of the new
-    objects.  This is exact for a restriction: the kept conjugation maps
-    are unchanged, so S_w is the same in loc and in the result, and a pair
-    lies in the result's domain exactly when its S_w is a new object;
-    loc's table holds every such pair, because its objects include the new
-    ones.  With the same objects (the sub-locality NS) every pair of kept
-    elements stays.
+    loc as its parent.  The pair rule: the product of a pair (a, b) in
+    loc's rows is kept when a and b are both kept and S_(a, b) is one of
+    the new objects.  This is exact for a restriction: the kept
+    conjugation maps are unchanged, so S_w is the same in loc and in the
+    result, and a pair lies in the result's domain exactly when its S_w
+    is a new object; loc's rows define every such pair, because its
+    objects include the new ones.  With the same objects (the
+    sub-locality NS) every defined pair of kept elements stays.
     """
     pg = loc.pg
     objset = {frozenset(P) for P in objects}
@@ -492,16 +503,21 @@ def sub_locality(loc: Locality, keep: Sequence[int],
         if pg.inv[f] not in pos:
             raise LocalityBuildError("internal: the kept elements are not "
                                      "closed under inversion")
-    table: dict[tuple[int, int], int] = {}
-    for (a, b), c in pg.pairs.items():
-        if a in pos and b in pos and pg.s_of_word((a, b)) in objset:
-            if c not in pos:
-                raise LocalityBuildError(f"internal: product {pg.label_word((a, b))} "
-                                         "leaves the kept elements")
-            table[(pos[a], pos[b])] = pos[c]
+    rows = []
+    for a in keep:
+        row_a = pg.rows[a]
+        row: list[int | None] = [None] * len(keep)
+        for i, b in enumerate(keep):
+            c = row_a[b]
+            if c is not None and pg.s_of_word((a, b)) in objset:
+                if c not in pos:
+                    raise LocalityBuildError(f"internal: product {pg.label_word((a, b))} "
+                                             "leaves the kept elements")
+                row[i] = pos[c]
+        rows.append(row)
     new_pg = ChainPartialGroup(
         [pg.labels[f] for f in keep], [pos[pg.inv[f]] for f in keep],
-        pos[pg.identity], table,
+        pos[pg.identity], rows,
         [{pos[x]: pos[y] for x, y in pg.conj_maps[f].items()} for f in keep],
         [pos[x] for x in pg.s_members], [[pos[x] for x in P] for P in objset])
     carrier = None
@@ -712,8 +728,9 @@ def carrier_certificate(loc: Locality) -> ValidationReport:
 
     # (c) the pair table
     for a in range(pg.size):
+        row = pg.rows[a]
         for b in range(pg.size):
-            c = pg.pairs.get((a, b))
+            c = row[b]
             if pg.word_in_domain((a, b)) != (c is not None):
                 side = "not an object" if c is not None else "an object"
                 if add("domain", f"pair {pg.label_word((a, b))} is "
@@ -737,8 +754,9 @@ def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
     s_sorted = sorted(loc.s)
     s_ok, s_detail = True, ""
     for a in s_sorted:
+        row = pg.rows[a]
         for b in s_sorted:
-            c = pg.pair(a, b)
+            c = row[b]
             if c is None or c not in loc.s:
                 s_ok, s_detail = False, f"pair {pg.label_word((a, b))} undefined or outside S"
                 break
@@ -782,8 +800,9 @@ def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
             if pg.inv[a] not in P:
                 obj_ok, obj_detail = False, f"object {sorted(P)} not inverse-closed"
                 break
+            row = pg.rows[a]
             for b in P:
-                c = pg.pair(a, b)
+                c = row[b]
                 if c is None or c not in P:
                     obj_ok, obj_detail = False, f"object {sorted(P)} not product-closed"
                     break
@@ -836,18 +855,14 @@ def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
 
     # the pair table is exactly the length-2 part of the chain domain
     pair_ok, pair_detail = True, ""
-    table_keys = set(pg.pairs)
-    chase_keys = set()
     for a in range(pg.size):
+        row = pg.rows[a]
         for b in range(pg.size):
-            if pg.word_in_domain((a, b)):
-                chase_keys.add((a, b))
-    if table_keys != chase_keys:
-        pair_ok = False
-        diff = table_keys.symmetric_difference(chase_keys)
-        w = next(iter(sorted(diff)))
-        side = "table only" if w in table_keys else "domain only"
-        pair_detail = f"pair {pg.label_word(w)} in {side}"
+            in_table = row[b] is not None
+            if pg.word_in_domain((a, b)) != in_table and pair_ok:
+                pair_ok = False
+                side = "table only" if in_table else "domain only"
+                pair_detail = f"pair {pg.label_word((a, b))} in {side}"
     checks.append(LocalityCheck("pair-table-matches-domain", pair_ok, pair_detail))
 
     # stored conjugation maps match the pair table route
@@ -855,11 +870,12 @@ def locality_structure_checks(loc: Locality) -> list[LocalityCheck]:
     for f in range(pg.size):
         inv_f = pg.inv[f]
         derived = {}
+        row = pg.rows[inv_f]
         for x in sorted(loc.s):
-            a = pg.pairs.get((inv_f, x))
+            a = row[x]
             if a is None:
                 continue
-            b = pg.pairs.get((a, f))
+            b = pg.rows[a][f]
             if b is None or b not in loc.s:
                 continue
             derived[x] = b

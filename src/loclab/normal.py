@@ -75,9 +75,11 @@ def partial_normal_defect(loc: Locality, members: Iterable[int]) -> str | None:
     for x in sorted(mset):
         if pg.inv[x] not in mset:
             return f"inverse of {pg.labels[x]} missing"
-    for a in sorted(mset):
-        for b in sorted(mset):
-            c = pg.pair(a, b)
+    ordered = sorted(mset)
+    for a in ordered:
+        row = pg.rows[a]
+        for b in ordered:
+            c = row[b]
             if c is not None and c not in mset:
                 return f"product {pg.label_word((a, b))} leaves the set"
     for g in range(pg.size):
@@ -202,8 +204,7 @@ def quotient(loc: Locality, normal: PartialNormalSet) -> QuotientLocality:
 
     uf = _UnionFind(pg.size)
     for n in sorted(normal.members):
-        for f in range(pg.size):
-            prod = pg.pair(n, f)
+        for f, prod in enumerate(pg.rows[n]):
             if prod is not None:
                 uf.union(f, prod)
 
@@ -234,14 +235,19 @@ def quotient(loc: Locality, normal: PartialNormalSet) -> QuotientLocality:
         qinv.append(images.pop())
     qident = proj[pg.identity]
 
-    qpairs: dict[tuple[int, int], int] = {}
-    for (a, b) in sorted(pg.pairs):
-        key = (proj[a], proj[b])
-        val = proj[pg.pairs[(a, b)]]
-        if qpairs.setdefault(key, val) != val:
-            raise NormalError(
-                f"product is not constant on cosets: witness pair "
-                f"{pg.label_word((a, b))}")
+    qrows: list[list[int | None]] = [[None] * qn for _ in range(qn)]
+    for a, row in enumerate(pg.rows):
+        qrow = qrows[proj[a]]
+        for b, c in enumerate(row):
+            if c is None:
+                continue
+            have, val = qrow[proj[b]], proj[c]
+            if have is None:
+                qrow[proj[b]] = val
+            elif have != val:
+                raise NormalError(
+                    f"product is not constant on cosets: witness pair "
+                    f"{pg.label_word((a, b))}")
 
     qconj: list[dict[int, int]] = [{} for _ in range(qn)]
     for f in range(pg.size):
@@ -255,7 +261,7 @@ def quotient(loc: Locality, normal: PartialNormalSet) -> QuotientLocality:
 
     qs = frozenset(proj[x] for x in pg.s_members)
     qobjects = {frozenset(proj[x] for x in P) for P in pg.objects}
-    qpg = ChainPartialGroup(qlabels, qinv, qident, qpairs, qconj, qs,
+    qpg = ChainPartialGroup(qlabels, qinv, qident, qrows, qconj, qs,
                             sorted(qobjects, key=lambda P: (len(P), sorted(P))))
     qloc = Locality(qpg, loc.p)
 
@@ -293,8 +299,9 @@ def _products_with(loc: Locality, members: Iterable[int],
     pg = loc.pg
     out = set()
     for k in sorted(members):
+        row = pg.rows[k]
         for s in sorted(t):
-            prod = pg.pair(k, s)
+            prod = row[s]
             if prod is None:
                 raise NormalError(
                     f"internal: product {pg.label_word((k, s))} undefined")
@@ -364,9 +371,10 @@ def partial_normal_fusion(loc: Locality, normal: PartialNormalSet) -> FusionSyst
     conjugation maps of the subgroup elements."""
     pg = loc.pg
     tset = normal.t
+    rows = pg.rows
 
     def mul(a: int, b: int) -> int:
-        c = pg.pair(a, b)
+        c = rows[a][b]
         if c is None:
             raise NormalError("internal: T is not a subgroup")
         return c

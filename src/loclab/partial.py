@@ -78,6 +78,7 @@ def generated_partial_subgroup(pg: ChainPartialGroup, seed: Iterable[int],
     so only pairs with a new member are formed.  PG3 folding means pair
     products capture all defined word products.
     """
+    rows = pg.rows
     done = list(closed)
     members = set(done)
     todo = [x for x in sorted({pg.identity, *seed}) if x not in members]
@@ -85,9 +86,10 @@ def generated_partial_subgroup(pg: ChainPartialGroup, seed: Iterable[int],
     while todo:
         x = todo.pop()
         done.append(x)
+        row_x = rows[x]
         new = [pg.inv[x]]
         for y in done:
-            new += (pg.pair(x, y), pg.pair(y, x))
+            new += (row_x[y], rows[y][x])
         if images is not None:
             new += images(x)
         for z in new:
@@ -102,9 +104,10 @@ def subgroup_table_group(pg: ChainPartialGroup, members: Iterable[int]):
     from .groups import TableGroup
 
     toks = sorted(set(members))
+    rows = pg.rows
 
     def mul(a: int, b: int) -> int:
-        c = pg.pair(a, b)
+        c = rows[a][b]
         if c is None:
             raise UndefinedProductError((a, b), "not a subgroup of the partial group")
         return c

@@ -2,10 +2,11 @@
 dictionary back to localities.
 
 A system is a finite category with explicit tables: integer morphism
-ids, source and target object indices, a composition dict, the window
-functor from the S-transporter category (delta) and the projection to
-the associated fusion system (pi).  Equality of morphisms is
-structural.  Categories of this kind are conventionally written with
+ids, source and target object indices, the composition rows (one row of
+composites per later morphism, with None where the two do not meet),
+the window functor from the S-transporter category (delta) and the
+projection to the associated fusion system (pi).  Equality of morphisms
+is structural.  Categories of this kind are conventionally written with
 maps acting on the left, so a triple (P, Q, g) sends x to g x g^-1;
 the bridge back to the word-based localities, which conjugate on the
 right, performs the orientation flip in exactly one place, marked in
@@ -19,9 +20,9 @@ system is never changed after construction.  The bridge scans no word;
 `_build_locality` says where its word-level guarantee comes from.
 
 Each system also keeps a generating set of its morphisms.  Associativity
-(`transporter_defect`) and functoriality (`functor_defect`) are checked
-on it, at a cost of about |generators|·|Mor| lookups instead of one per
-composable pair or triple.
+and the projection's respect for composition (`transporter_defect`) and
+functoriality (`functor_defect`) are checked on it, at a cost of about
+|generators|·|Mor| lookups instead of one per composable pair or triple.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .extension import iso_defect, is_locality_automorphism, locality_automorphisms
+from .extension import (automorphism_group, iso_defect, is_locality_automorphism,
+                        locality_automorphisms)
 from .fusion import FusionSystem, fusion_from_locality, generated_fusion
 from .groups import (FiniteGroup, TableGroup, _p_part, is_characteristic_p,
                      p_core)
@@ -49,11 +51,15 @@ class TransporterSystem:
     tokens 0..n-1, the object family (frozensets of tokens), the
     associated fusion system on the same tokens, morphism arrays src and
     dst (object indices), g_labels (display names), pi (one conjugation
-    dict per morphism), compose[(later, earlier)], and delta keyed by
-    (src_idx, dst_idx, token).  `generators` is the greedy generating
-    set of `_generating_set`.  The tables are not changed after
-    construction: the memos kept on the system rely on that.  The memo
-    of `linking_system_defect` is a 1-tuple, since None is a verdict.
+    dict per morphism), the composition rows comp, and delta keyed by
+    (src_idx, dst_idx, token).  `comp[later][earlier]` is the composite
+    "earlier, then later", or None when earlier does not end where later
+    starts; the rows are a tuple of |Mor| tuples of |Mor| entries, built
+    once by the caller and read by every composition loop.  `generators`
+    is the greedy generating set of `_generating_set`.  The tables are
+    not changed after construction: the memos kept on the system rely on
+    that.  The memo of `linking_system_defect` is a 1-tuple, since None
+    is a verdict.
     """
 
     def __init__(self, p: int, s_labels: Sequence[str],
@@ -62,7 +68,7 @@ class TransporterSystem:
                  src: Sequence[int], dst: Sequence[int],
                  g_labels: Sequence[str],
                  pi: Sequence[dict[int, int]],
-                 compose: dict[tuple[int, int], int],
+                 comp: Sequence[Sequence[int | None]],
                  delta: dict[tuple[int, int, int], int]):
         self.p = p
         self.s_labels = tuple(s_labels)
@@ -75,7 +81,7 @@ class TransporterSystem:
         self.dst = tuple(dst)
         self.g_labels = tuple(g_labels)
         self.pi = tuple(dict(m) for m in pi)
-        self.compose = dict(compose)
+        self.comp = tuple(map(tuple, comp))
         self.delta = dict(delta)
         self._loc_cache = None
         self._auts: tuple[CategoryFunctor, ...] | None = None
@@ -103,11 +109,14 @@ class TransporterSystem:
         self.identity_ids = {i: self.incl[(i, i)] for i in range(len(self.objects))
                              if (i, i) in self.incl}
         self._inverse: dict[int, int] = {}
-        for (j, i), k in self.compose.items():
-            if (self.src[i] == self.dst[j] and
-                    k == self.identity_ids.get(self.src[i]) and
-                    self.compose.get((i, j)) == self.identity_ids.get(self.src[j])):
-                self._inverse[i] = j
+        for i, row in enumerate(self.comp):
+            back = self.identity_ids.get(self.src[i])
+            there = self.identity_ids.get(self.dst[i])
+            if back is None or there is None:
+                continue
+            for j in self._by_pair.get((self.dst[i], self.src[i]), ()):
+                if self.comp[j][i] == back and row[j] == there:
+                    self._inverse[i] = j
         self.generators = _generating_set(self)
         defect = transporter_defect(self)
         if defect is not None:
@@ -144,16 +153,16 @@ class TransporterSystem:
     def aut_table(self, p_idx: int) -> TableGroup:
         """Aut_T(P) as a group; mul(a, b) composes a first, then b."""
         ids = self.mor(p_idx, p_idx)
-        return TableGroup(ids, lambda a, b: self.compose[(b, a)],
+        return TableGroup(ids, lambda a, b: self.comp[b][a],
                           label_fn=lambda m: self.g_labels[m])
 
     def restrict_mor(self, m: int, p0_idx: int, q0_idx: int) -> int | None:
         """The unique m0: P0 -> Q0 with incl o m0 = m o incl, if any."""
-        up = self.compose.get((m, self.incl[(p0_idx, self.src[m])]))
+        up = self.comp[m][self.incl[(p0_idx, self.src[m])]]
         if up is None:
             return None
-        found = [m0 for m0 in self.mor(p0_idx, q0_idx)
-                 if self.compose.get((self.incl[(q0_idx, self.dst[m])], m0)) == up]
+        into = self.comp[self.incl[(q0_idx, self.dst[m])]]
+        found = [m0 for m0 in self.mor(p0_idx, q0_idx) if into[m0] == up]
         if len(found) > 1:
             raise TransporterError("internal: restriction is not unique")
         return found[0] if found else None
@@ -195,6 +204,7 @@ def _generating_set(T: TransporterSystem) -> tuple[int, ...]:
     stands, under any bracketing, so the set generates even a table
     that is not associative.  Each morphism joins the closure once and
     is then composed with every morphism already in it, on both sides."""
+    comp = T.comp
     reached: set[int] = set()
     leaving: dict[int, list[int]] = {}
     arriving: dict[int, list[int]] = {}
@@ -215,25 +225,27 @@ def _generating_set(T: TransporterSystem) -> tuple[int, ...]:
         reach(m, queue)
         while queue:
             x = queue.pop()
+            row_x = comp[x]
             for y in tuple(leaving.get(T.dst[x], ())):
-                reach(T.compose.get((y, x)), queue)
+                reach(comp[y][x], queue)
             for y in tuple(arriving.get(T.src[x], ())):
-                reach(T.compose.get((x, y)), queue)
+                reach(row_x[y], queue)
     return tuple(gens)
 
 
 def _associativity_defect(T: TransporterSystem) -> str | None:
     """Light's test: (x∘g)∘y = x∘(g∘y) for every generator g and all
     composable x, y."""
-    compose = T.compose
+    comp = T.comp
     for g in T.generators:
         before = T._arriving.get(T.src[g], ())
-        after = T._leaving.get(T.dst[g], ())
-        for y in before:
-            g_y = compose[(g, y)]
-            for x in after:
-                if compose[(compose[(x, g)], y)] != compose[(x, g_y)]:
-                    return "composition is not associative"
+        row_g = comp[g]
+        g_before = [row_g[y] for y in before]
+        for x in T._leaving.get(T.dst[g], ()):
+            row_x = comp[x]
+            row_xg = comp[row_x[g]]
+            if [row_xg[y] for y in before] != [row_x[gy] for gy in g_before]:
+                return "composition is not associative"
     return None
 
 
@@ -261,6 +273,16 @@ def transporter_defect(T: TransporterSystem) -> str | None:
     every morphism, and the table is associative.  The check is exact at
     every size and costs one lookup pair per generator and composable
     pair around it.
+
+    The projection is checked on generators the same way: pi(g∘x) =
+    pi(g)∘pi(x) for each g in `T.generators` and every x with dst(x) =
+    src(g).  Every morphism a is a right-nested composite g1∘(g2∘(...∘gk))
+    of generators, and by induction on k, with a' = g2∘(...∘gk),
+        pi(a∘x) = pi(g1∘(a'∘x)) = pi(g1)∘pi(a'∘x) = pi(g1)∘(pi(a')∘pi(x))
+                = (pi(g1)∘pi(a'))∘pi(x) = pi(a)∘pi(x).
+    The first step is associativity in T, proved by Light's test just
+    before; the second and last use the generator check, the third the
+    induction hypothesis, and the fourth regroups maps of sets.
     """
     F = T.fusion
     n_obj = len(T.objects)
@@ -276,23 +298,29 @@ def transporter_defect(T: TransporterSystem) -> str | None:
         return (f"object family is not closed: the {kind} {sorted(R)} of "
                 f"{sorted(P)} is missing")
 
-    # source/target and composition bookkeeping
-    for (j, i), k in T.compose.items():
-        if T.dst[i] != T.src[j]:
-            return "composition table pairs morphisms that do not meet"
-        if T.src[k] != T.src[i] or T.dst[k] != T.dst[j]:
-            return "composite has the wrong endpoints"
-    # every key meets, so the table is total when it has as many keys as
-    # there are composable pairs
-    if len(T.compose) != sum(len(ins) * len(T._leaving.get(q, ()))
-                             for q, ins in T._arriving.items()):
+    # source/target and composition bookkeeping, row by row; a row whose
+    # entries are not all at meeting morphisms is scanned whole, in order
+    comp, src, dst = T.comp, T.src, T.dst
+    missing = False
+    for j, row in enumerate(comp):
+        meets = T._arriving.get(src[j], ())
+        entries = [(i, row[i]) for i in meets if row[i] is not None]
+        missing = missing or len(entries) < len(meets)
+        if len(entries) != len(row) - row.count(None):
+            entries = [(i, k) for i, k in enumerate(row) if k is not None]
+        for i, k in entries:
+            if dst[i] != src[j]:
+                return "composition table pairs morphisms that do not meet"
+            if src[k] != src[i] or dst[k] != dst[j]:
+                return "composite has the wrong endpoints"
+    if missing:
         return "composition table is missing a composable pair"
     for i in range(T.mor_count):
-        ide = T.identity_ids.get(T.src[i])
-        if ide is None or T.compose[(i, ide)] != i:
+        ide = T.identity_ids.get(src[i])
+        if ide is None or comp[i][ide] != i:
             return "identity morphism fails on the right"
-        ide = T.identity_ids.get(T.dst[i])
-        if ide is None or T.compose[(ide, i)] != i:
+        ide = T.identity_ids.get(dst[i])
+        if ide is None or comp[ide][i] != i:
             return "identity morphism fails on the left"
     defect = _associativity_defect(T)
     if defect is not None:
@@ -328,7 +356,7 @@ def transporter_defect(T: TransporterSystem) -> str | None:
         for (q2, r_idx, t), m2 in T.delta.items():
             if q2 == q_idx:
                 big = T.delta.get((p_idx, r_idx, mul[t][s]))
-                if big is None or T.compose[(m2, m)] != big:
+                if big is None or comp[m2][m] != big:
                     return "delta does not respect composition"
 
     # the projection functor pi
@@ -339,10 +367,13 @@ def transporter_defect(T: TransporterSystem) -> str | None:
             return "projection data does not map the source into the target"
         if len(set(img.values())) != len(P):
             return "projection of a morphism is not injective"
-    for (j, i), k in T.compose.items():
-        for x in T.objects[T.src[i]]:
-            if T.pi[k][x] != T.pi[j][T.pi[i][x]]:
-                return "projection does not respect composition"
+    for g in T.generators:
+        row_g, pi_g = comp[g], T.pi[g]
+        for x in T._arriving.get(src[g], ()):
+            pi_x, pi_gx = T.pi[x], T.pi[row_g[x]]
+            for y in T.objects[src[x]]:
+                if pi_gx[y] != pi_g[pi_x[y]]:
+                    return "projection does not respect composition"
     for p_idx in range(n_obj):
         ker_src = [u for u in T.mor(p_idx, p_idx)
                    if all(T.pi[u][x] == x for x in T.objects[p_idx])]
@@ -359,7 +390,8 @@ def transporter_defect(T: TransporterSystem) -> str | None:
             for m in ids:
                 fibers.setdefault(_pi_tuple(T, m), set()).add(m)
             for m in ids:
-                orbit = {T.compose[(m, u)] for u in ker_src}
+                row_m = comp[m]
+                orbit = {row_m[u] for u in ker_src}
                 if len(orbit) != len(ker_src):
                     return "the source kernel does not act freely"
                 if orbit != fibers[_pi_tuple(T, m)]:
@@ -369,15 +401,16 @@ def transporter_defect(T: TransporterSystem) -> str | None:
             for u in ker_dst:
                 if u == T.identity_ids[q_idx]:
                     continue
-                if any(T.compose[(u, m)] == m for m in ids):
+                row_u = comp[u]
+                if any(row_u[m] == m for m in ids):
                     return "the target kernel does not act freely"
 
     # conjugation axiom: morphisms intertwine window elements
     for m in range(T.mor_count):
         p_idx, q_idx = T.src[m], T.dst[m]
         for g in T.objects[p_idx]:
-            left = T.compose[(m, T.delta[(p_idx, p_idx, g)])]
-            right = T.compose[(T.delta[(q_idx, q_idx, T.pi[m][g])], m)]
+            left = comp[m][T.delta[(p_idx, p_idx, g)]]
+            right = comp[T.delta[(q_idx, q_idx, T.pi[m][g])]][m]
             if left != right:
                 return "a morphism fails to intertwine window conjugation"
 
@@ -402,24 +435,26 @@ def transporter_defect(T: TransporterSystem) -> str | None:
                     continue
                 window = {T.delta[(q_idx, q_idx, h)] for h in T.objects[qb]
                           if (q_idx, q_idx, h) in T.delta}
-                ok = all(T.compose[(T.compose[(m, T.delta[(p_idx, p_idx, g)])],
-                                    minv)] in window
+                ok = all(comp[comp[m][T.delta[(p_idx, p_idx, g)]]][minv] in window
                          for g in T.objects[pb])
                 if not ok:
                     continue
-                lhs = T.compose[(T.incl[(q_idx, qb)], m)]
-                if not any(T.compose[(mb, T.incl[(p_idx, pb)])] == lhs
-                           for mb in T.mor(pb, qb)):
+                lhs = comp[T.incl[(q_idx, qb)]][m]
+                up = T.incl[(p_idx, pb)]
+                if not any(comp[mb][up] == lhs for mb in T.mor(pb, qb)):
                     return "an isomorphism fails to extend along overgroups"
 
-    # cancellation
-    by_right: dict[tuple[int, int], int] = {}
-    by_left: dict[tuple[int, int], int] = {}
-    for (j, i), k in T.compose.items():
-        if by_right.setdefault((k, i), j) != j:
-            return "a morphism is not epic"
-        if by_left.setdefault((k, j), i) != i:
-            return "a morphism is not monic"
+    # cancellation: by_right[i] maps each composite k = j∘i back to j, and
+    # by_left (one row) maps each k = j∘i back to i
+    by_right: list[dict[int, int]] = [{} for _ in range(T.mor_count)]
+    for j, row in enumerate(comp):
+        by_left: dict[int, int] = {}
+        for i in T._arriving.get(src[j], ()):
+            k = row[i]
+            if by_right[i].setdefault(k, j) != j:
+                return "a morphism is not epic"
+            if by_left.setdefault(k, i) != i:
+                return "a morphism is not monic"
     return None
 
 
@@ -431,7 +466,9 @@ def _assemble(p, s_labels, s_mul, s_inv, objects, fusion, triples,
     """Shared table construction from morphism triples (p_idx, q_idx, g).
 
     conj_of(g) maps tokens x to the token of g x g^-1; mul_g multiplies
-    the underlying carrier elements; glabel names them.
+    the underlying carrier elements, with None for a product the carrier
+    does not define, which leaves the composite triple missing; glabel
+    names them.
     """
     triples = sorted(triples)
     index = {t: i for i, t in enumerate(triples)}
@@ -442,15 +479,18 @@ def _assemble(p, s_labels, s_mul, s_inv, objects, fusion, triples,
     for p_idx, q_idx, g in triples:
         cmap = conj_of(g)
         pi.append({x: cmap[x] for x in sorted(objects[p_idx])})
-    compose = {}
+    arriving: dict[int, list[int]] = {}
+    for i, (_, qi, _) in enumerate(triples):
+        arriving.setdefault(qi, []).append(i)
+    comp = []
     for j, (qj, rj, gj) in enumerate(triples):
-        for i, (pi_i, qi, gi) in enumerate(triples):
-            if qi == qj:
-                gc = mul_g(gj, gi)
-                k = index.get((pi_i, rj, gc))
-                if k is None:
-                    raise TransporterError("internal: composite triple missing")
-                compose[(j, i)] = k
+        row: list[int | None] = [None] * len(triples)
+        for i in arriving.get(qj, ()):
+            k = index.get((triples[i][0], rj, mul_g(gj, triples[i][2])))
+            if k is None:
+                raise TransporterError("internal: composite triple missing")
+            row[i] = k
+        comp.append(row)
     token_of_label = {lab: t for t, lab in enumerate(s_labels)}
     delta = {}
     for i, (p_idx, q_idx, g) in enumerate(triples):
@@ -458,7 +498,7 @@ def _assemble(p, s_labels, s_mul, s_inv, objects, fusion, triples,
         if t is not None:
             delta[(p_idx, q_idx, t)] = i
     return TransporterSystem(p, s_labels, s_mul, s_inv, objects, fusion,
-                             src, dst, g_labels, pi, compose, delta)
+                             src, dst, g_labels, pi, comp, delta)
 
 
 def transporter_of_locality(loc: Locality) -> TransporterSystem:
@@ -471,7 +511,7 @@ def transporter_of_locality(loc: Locality) -> TransporterSystem:
     tok = {x: i for i, x in enumerate(s_sorted)}
     n = len(s_sorted)
     s_labels = [pg.labels[x] for x in s_sorted]
-    s_mul = [[tok[pg.pair(a, b)] for b in s_sorted] for a in s_sorted]
+    s_mul = [[tok[pg.rows[a][b]] for b in s_sorted] for a in s_sorted]
     s_inv = [tok[pg.inv[x]] for x in s_sorted]
     objects = canonical_objects([{tok[x] for x in P} for P in loc.objects])
     obj_pg = {i: frozenset(s_sorted[t] for t in P) for i, P in enumerate(objects)}
@@ -492,8 +532,8 @@ def transporter_of_locality(loc: Locality) -> TransporterSystem:
                                      for x, y in pg.conj_maps[f].items()}
 
     def mul_g(gj, gi):
-        c = pg.product((pg.inv[gi], pg.inv[gj]))
-        return pg.inv[c]
+        c = pg.rows[pg.inv[gi]][pg.inv[gj]]
+        return None if c is None else pg.inv[c]
 
     loc._transporter = _assemble(loc.p, s_labels, s_mul, s_inv, objects, fusion,
                                  set(triples), lambda g: conj_cache[g], mul_g,
@@ -564,8 +604,8 @@ def full_subcategory(T: TransporterSystem,
         [new_of_old[T.dst[m]] for m in ids],
         [T.g_labels[m] for m in ids],
         [T.pi[m] for m in ids],
-        {(new_id[j], new_id[i]): new_id[k] for (j, i), k in T.compose.items()
-         if j in new_id and i in new_id},
+        [[None if T.comp[j][i] is None else new_id[T.comp[j][i]] for i in ids]
+         for j in ids],
         {(new_of_old[p], new_of_old[q], s): new_id[m]
          for (p, q, s), m in T.delta.items() if m in new_id})
     sub.parent = T
@@ -591,9 +631,11 @@ def same_category(a: TransporterSystem, b: TransporterSystem) -> bool:
         if key not in mor_b:
             return False
         match[m] = mor_b[key]
-    for (j, i), k in a.compose.items():
-        if b.compose.get((match[j], match[i])) != match[k]:
-            return False
+    for j, row in enumerate(a.comp):
+        row_b = b.comp[match[j]]
+        for i, k in enumerate(row):
+            if k is not None and row_b[match[i]] != match[k]:
+                return False
     lab_b = {lab: t for t, lab in enumerate(b.s_labels)}
     for m in range(a.mor_count):
         for x, y in a.pi[m].items():
@@ -665,15 +707,19 @@ def _build_locality(T: TransporterSystem):
         elif inv[c] != ci:
             raise TransporterError("internal: inversion is not class constant")
 
-    # orientation: compose[(j, i)] is apply-i-then-j, with underlying
+    # orientation: comp[j][i] is apply-i-then-j, with underlying
     # left-acting element g_j g_i; the word (a, b) downstairs multiplies
     # to g_a g_b, so the later factor j supplies the left letter
-    pair_table: dict[tuple[int, int], int] = {}
-    for (j, i), k in T.compose.items():
-        if T.is_iso(i) and T.is_iso(j):
-            key = (class_of[j], class_of[i])
-            if pair_table.setdefault(key, class_of[k]) != class_of[k]:
-                raise TransporterError("internal: product is not class constant")
+    rows: list[list[int | None]] = [[None] * size for _ in range(size)]
+    for j in isos:
+        row, row_j = T.comp[j], rows[class_of[j]]
+        for i in T._arriving.get(T.src[j], ()):
+            if T.is_iso(i):
+                k, ci = class_of[row[i]], class_of[i]
+                if row_j[ci] is None:
+                    row_j[ci] = k
+                elif row_j[ci] != k:
+                    raise TransporterError("internal: product is not class constant")
 
     s_class = {}
     for x in range(len(T.s_labels)):
@@ -690,7 +736,7 @@ def _build_locality(T: TransporterSystem):
                           for y in T.objects[T.dst[m]]})
 
     objects = [frozenset(s_class[t] for t in P) for P in T.objects]
-    pg = ChainPartialGroup(labels, inv, identity, pair_table, conj_maps,
+    pg = ChainPartialGroup(labels, inv, identity, rows, conj_maps,
                            set(s_class.values()), objects)
     loc = Locality(pg, T.p)
     failing = [c for c in locality_structure_checks(loc) if not c.ok]
@@ -837,9 +883,9 @@ def functor_defect(alpha: CategoryFunctor) -> str | None:
         if F[ide] != U.identity_ids[alpha.object_map[i]]:
             return "identities are not preserved"
     for g in T.generators:
-        f_g = F[g]
+        row_g, image_row = T.comp[g], U.comp[F[g]]
         for x in T._arriving.get(T.src[g], ()):
-            if U.compose[(f_g, F[x])] != F[T.compose[(g, x)]]:
+            if image_row[F[x]] != F[row_g[x]]:
                 return "composition is not preserved"
     return None
 
@@ -908,8 +954,8 @@ def compose_functors(outer: CategoryFunctor,
         raise TransporterError("functors do not meet")
     return CategoryFunctor(
         inner.src, outer.dst,
-        tuple(outer.object_map[i] for i in inner.object_map),
-        tuple(outer.morphism_map[m] for m in inner.morphism_map))
+        tuple(map(outer.object_map.__getitem__, inner.object_map)),
+        tuple(map(outer.morphism_map.__getitem__, inner.morphism_map)))
 
 
 def invert_functor(alpha: CategoryFunctor) -> CategoryFunctor:
@@ -931,12 +977,11 @@ def conjugation_functor(T: TransporterSystem, gamma: int) -> CategoryFunctor:
     obj_map = []
     for P in T.objects:
         obj_map.append(T.object_index(frozenset(T.pi[gamma][x] for x in P)))
-    legs = {i: T.restrict_mor(gamma, i, obj_map[i]) for i in range(len(T.objects))}
-    mor_map = []
-    for m in range(T.mor_count):
-        i, j = T.src[m], T.dst[m]
-        left = T.compose[(legs[j], m)]
-        mor_map.append(T.compose[(left, T.inverse(legs[i]))])
+    legs = [T.restrict_mor(gamma, i, obj_map[i]) for i in range(len(T.objects))]
+    comp = T.comp
+    into = [comp[leg] for leg in legs]
+    back = [T.inverse(leg) for leg in legs]
+    mor_map = [comp[into[T.dst[m]][m]][back[T.src[m]]] for m in range(T.mor_count)]
     alpha = CategoryFunctor(T, T, tuple(obj_map), tuple(mor_map))
     if not is_transporter_iso(alpha):
         raise TransporterError("internal: conjugation functor is not an "
@@ -993,8 +1038,12 @@ def lambda_map(alpha: CategoryFunctor) -> tuple[int, ...]:
     return result
 
 
-def _functor_from_locality_aut(T: TransporterSystem,
-                               sigma: Sequence[int]) -> CategoryFunctor:
+def _lift_locality_aut(T: TransporterSystem,
+                       sigma: Sequence[int]) -> CategoryFunctor:
+    """The self-map of T that an automorphism sigma of its bridge
+    locality induces: each morphism, factored over its image object, goes
+    to the inclusion after the witness of the transported class.  The
+    maps are not classified here; `aut_transporter` certifies them."""
     _, class_of, _, s_class, iso_by = T._locality_bridge()
     token_back = {v: k for k, v in s_class.items()}
     obj_map = []
@@ -1009,30 +1058,47 @@ def _functor_from_locality_aut(T: TransporterSystem,
             raise TransporterError("internal: transported class has no "
                                    "witness morphism")
         lifted = iso_by[key]
-        mor_map.append(T.compose[(T.incl[(obj_map[r_idx], obj_map[T.dst[m]])],
-                                  lifted)])
-    alpha = CategoryFunctor(T, T, tuple(obj_map), tuple(mor_map))
-    if not is_transporter_iso(alpha):
-        raise TransporterError("internal: lifted functor is not an "
-                               "isomorphism")
-    return alpha
+        mor_map.append(T.comp[T.incl[(obj_map[r_idx], obj_map[T.dst[m]])]][lifted])
+    return CategoryFunctor(T, T, tuple(obj_map), tuple(mor_map))
 
 
 def aut_transporter(T: TransporterSystem) -> list[CategoryFunctor]:
     """All isotypical inclusion-preserving self-equivalences, obtained
-    by lifting the automorphisms of the associated locality.  On systems
-    of at most 3 objects and 200 morphisms the list is cross-checked
-    against `_enumerate_functors_directly`, which never reads the lifted
-    list.  The list is kept on T, as are the verdict of
+    by lifting the automorphisms of the associated locality.
+
+    Only the lifts of the generators of `automorphism_group` are
+    classified.  Composites of isotypical, inclusion-preserving
+    equivalences are again such equivalences, and so is the identity, so
+    every member of the closure of the certified generator lifts under
+    `compose_functors` is one.  The lifted set must equal that closure,
+    as a set of morphism maps, and each member of the closure is recorded
+    as a True verdict of `is_transporter_iso`, so that no later check
+    classifies it again.
+
+    On systems of at most 3 objects and 200 morphisms the list is
+    cross-checked against `_enumerate_functors_directly`, which never
+    reads the lifted list.  The list is kept on T, as are the verdict of
     `is_transporter_iso` on each functor and the image factorisation of
     each morphism; T is not changed after construction, so these stay
     valid.  Each call hands out a fresh copy of the list."""
     if T._auts is None:
         loc, _, _, _, _ = T._locality_bridge()
-        out = [_functor_from_locality_aut(T, sigma)
-               for sigma in locality_automorphisms(loc)]
+        lifts = {sigma: _lift_locality_aut(T, sigma)
+                 for sigma in locality_automorphisms(loc)}
+        out = list(lifts.values())
         if len({a.morphism_map for a in out}) != len(out):
             raise TransporterError("internal: lifted automorphisms collide")
+        group = automorphism_group(loc)
+        gens = [lifts[group.tokens[g]] for g in group.generators]
+        if not all(is_transporter_iso(alpha) for alpha in gens):
+            raise TransporterError("internal: lifted functor is not an "
+                                   "isomorphism")
+        closure = _functor_closure(T, gens)
+        if {a.morphism_map for a in closure} != {a.morphism_map for a in out}:
+            raise TransporterError("internal: the lifted automorphisms are not "
+                                   "the closure of the certified generator lifts")
+        for alpha in closure:
+            T._verdicts[(T, alpha.object_map, alpha.morphism_map)] = True
         if len(T.objects) <= 3 and T.mor_count <= 200:
             direct = _enumerate_functors_directly(T)
             if ({a.morphism_map for a in direct} != {a.morphism_map for a in out}):
@@ -1040,6 +1106,21 @@ def aut_transporter(T: TransporterSystem) -> list[CategoryFunctor]:
                                        "with the lifted automorphisms")
         T._auts = tuple(sorted(out, key=lambda a: a.morphism_map))
     return list(T._auts)
+
+
+def _functor_closure(T: TransporterSystem,
+                     gens: Sequence[CategoryFunctor]) -> list[CategoryFunctor]:
+    """The identity of T and every composite of the self-functors gens,
+    breadth first; each morphism map once."""
+    found = [identity_functor(T)]
+    seen = {found[0].morphism_map}
+    for alpha in found:  # grows while it is walked
+        for g in gens:
+            beta = compose_functors(g, alpha)
+            if beta.morphism_map not in seen:
+                seen.add(beta.morphism_map)
+                found.append(beta)
+    return found
 
 
 def _enumerate_functors_directly(T: TransporterSystem) -> list[CategoryFunctor]:
@@ -1079,17 +1160,21 @@ def _enumerate_functors_directly(T: TransporterSystem) -> list[CategoryFunctor]:
         raise TransporterError("direct enumeration is capped at 3 objects "
                                "and 200 morphisms")
     n_obj, n_mor = len(T.objects), T.mor_count
-    rdiv = {}
-    ldiv = {}
+    comp = T.comp
+    # rdiv[i][k] = j and ldiv[j][k] = i for each composite k = j∘i
+    rdiv: list[dict[int, int]] = [{} for _ in range(n_mor)]
+    ldiv: list[dict[int, int]] = [{} for _ in range(n_mor)]
     right_partners: list[list[tuple[int, int]]] = [[] for _ in range(n_mor)]
     left_partners: list[list[tuple[int, int]]] = [[] for _ in range(n_mor)]
-    for (j, i), k in T.compose.items():
-        rdiv[(k, i)] = j
-        ldiv[(k, j)] = i
-        right_partners[i].append((j, k))
-        left_partners[j].append((i, k))
+    for j, row in enumerate(comp):
+        for i in T._arriving.get(T.src[j], ()):
+            k = row[i]
+            rdiv[i][k] = j
+            ldiv[j][k] = i
+            right_partners[i].append((j, k))
+            left_partners[j].append((i, k))
 
-    src, dst, cget = T.src, T.dst, T.compose.get
+    src, dst = T.src, T.dst
     beta = list(range(n_obj))
     assign = [-1] * n_mor
     taken = [False] * n_mor
@@ -1116,22 +1201,23 @@ def _enumerate_functors_directly(T: TransporterSystem) -> list[CategoryFunctor]:
         while queue:
             x = queue.pop()
             fx = assign[x]
+            row_fx, right_fx, left_fx = comp[fx], rdiv[fx], ldiv[fx]
             for (j, k) in right_partners[x]:
                 if assign[j] >= 0:
-                    c = cget((assign[j], fx))
+                    c = comp[assign[j]][fx]
                     if c is None or not force(k, c, queue):
                         return False
                 elif assign[k] >= 0:
-                    j2 = rdiv.get((assign[k], fx))
+                    j2 = right_fx.get(assign[k])
                     if j2 is None or not force(j, j2, queue):
                         return False
             for (i, k) in left_partners[x]:
                 if assign[i] >= 0:
-                    c = cget((fx, assign[i]))
+                    c = row_fx[assign[i]]
                     if c is None or not force(k, c, queue):
                         return False
                 elif assign[k] >= 0:
-                    i2 = ldiv.get((assign[k], fx))
+                    i2 = left_fx.get(assign[k])
                     if i2 is None or not force(i, i2, queue):
                         return False
         return True
@@ -1308,7 +1394,7 @@ def linking_system_report(T: TransporterSystem) -> dict:
         for m in frontier:
             for g in gens:
                 if T.dst[g] == T.src[m]:
-                    c = T.compose[(m, g)]
+                    c = T.comp[m][g]
                     if c not in reach:
                         reach.add(c)
                         depth[c] = step
@@ -1355,14 +1441,14 @@ def _out_typ(T: TransporterSystem) -> dict:
         raise TransporterError("internal: the kernel of conjugation is not "
                                "the window image of the fusion center")
     classes: list[list[int]] = []
-    reps: list[CategoryFunctor] = []
+    rep_inverses: list[CategoryFunctor] = []
     for idx, a in enumerate(auts):
-        for c, r in enumerate(reps):
-            if compose_functors(a, invert_functor(r)).morphism_map in inner_maps:
+        for c, r in enumerate(rep_inverses):
+            if compose_functors(a, r).morphism_map in inner_maps:
                 classes[c].append(idx)
                 break
         else:
-            reps.append(a)
+            rep_inverses.append(invert_functor(a))
             classes.append([idx])
     n_aut_s = len(T.mor(s_idx, s_idx))
     if len(classes) * n_aut_s != len(auts) * len(z_f):

@@ -119,8 +119,9 @@ def _normalizer_laws(section: Section, name: str, loc: Locality,
                 ok_sub, sub_wit = False, (f"normalizer of {_obj(loc, P)} is not "
                                           f"inverse closed at {pg.labels[x]}")
                 break
+            row = pg.rows[x]
             for y in nf:
-                prod = pg.pair(x, y)
+                prod = row[y]
                 if prod is None or prod not in nset:
                     ok_sub = False
                     sub_wit = (f"normalizer of {_obj(loc, P)} is not closed: "
@@ -153,9 +154,14 @@ def _normalizer_laws(section: Section, name: str, loc: Locality,
                     f"conjugation by {pg.labels[g]} is not a bijection from the "
                     f"normalizer of {_obj(loc, P)} onto the normalizer of its image")
                 break
-            mult = all(
-                images[pg.pair(x, y)] == pg.pair(images[x], images[y])
-                for x in nf for y in nf)
+            rows, image_list = pg.rows, [images[y] for y in nf]
+            mult = True
+            for x in nf:
+                row, image_row = rows[x], rows[images[x]]
+                if ([images[row[y]] for y in nf] !=
+                        [image_row[v] for v in image_list]):
+                    mult = False
+                    break
             if not mult:
                 ok_iso, iso_wit = False, (
                     f"conjugation by {pg.labels[g]} is not multiplicative on the "
@@ -190,15 +196,16 @@ def _element_laws(section: Section, name: str, loc: Locality,
             break
         hom = True
         for x in dom:
+            row = pg.rows[x]
             for y in dom:
-                prod = pg.pair(x, y)
+                prod = row[y]
                 if prod is None or prod not in dom:
                     ok_sf, sf_wit = False, (
                         f"the S subgroup of {pg.labels[g]} is not closed at "
                         f"{pg.labels[x]} * {pg.labels[y]}")
                     hom = False
                     break
-                if conj[prod] != pg.pair(conj[x], conj[y]):
+                if conj[prod] != pg.rows[conj[x]][conj[y]]:
                     hom = False
                     sf_wit = (f"conjugation by {pg.labels[g]} is not a "
                               "homomorphism on its S subgroup")

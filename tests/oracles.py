@@ -58,6 +58,64 @@ from loclab.partial import (
 from loclab.transporter import CategoryFunctor, TransporterError, is_transporter_iso
 
 
+# ---------------------------------------------------------------------------
+# the tuple-keyed tables the library reads as rows
+
+
+def pair_dict(pg):
+    """The defined products of pg as a dict {(a, b): ab}, in row order."""
+    return {(a, b): c for a, row in enumerate(pg.rows)
+            for b, c in enumerate(row) if c is not None}
+
+
+def compose_dict(T):
+    """The composites of T as a dict {(later, earlier): composite}, in row
+    order."""
+    return {(j, i): k for j, row in enumerate(T.comp)
+            for i, k in enumerate(row) if k is not None}
+
+
+def rows_of(table, n):
+    """An n x n row table from a dict {(a, b): c}; None where it has no key."""
+    rows = [[None] * n for _ in range(n)]
+    for (a, b), c in table.items():
+        rows[a][b] = c
+    return tuple(map(tuple, rows))
+
+
+def hom_defect_reference(src, dst, alpha):
+    """`extension.hom_defect` with its product loop over the pair dict of
+    the source, as the library ran it before the pair tables became rows."""
+    spg, dpg = src.pg, dst.pg
+    if len(alpha) != spg.size:
+        return "map is not defined on every element"
+    if any(not 0 <= g < dpg.size for g in alpha):
+        return "map leaves the target"
+    for P in spg.objects:
+        img = frozenset(alpha[x] for x in P)
+        if img not in dpg.object_set:
+            return f"object {sorted(P)} does not map onto an object"
+    for f in range(spg.size):
+        cf = spg.conj_maps[f]
+        cg = dpg.conj_maps[alpha[f]]
+        for x, y in cf.items():
+            if alpha[x] not in cg:
+                return (f"image of {spg.labels[x]} escapes the conjugation "
+                        f"domain of the image of {spg.labels[f]}")
+            if cg[alpha[x]] != alpha[y]:
+                return (f"conjugation of {spg.labels[x]} by {spg.labels[f]} "
+                        "is not preserved")
+    for (a, b), c in pair_dict(spg).items():
+        d = dpg.pair(alpha[a], alpha[b])
+        if d is None:
+            return (f"product ({spg.labels[a]}, {spg.labels[b]}) maps outside "
+                    "the target domain")
+        if d != alpha[c]:
+            return (f"product ({spg.labels[a]}, {spg.labels[b]}) is not "
+                    "preserved")
+    return None
+
+
 def naive_closure(generators, degree):
     """Fixpoint closure under composition, no BFS bookkeeping."""
     elements = {perm.identity_perm(degree)}
@@ -332,7 +390,7 @@ def _pair_index(pg):
     """For each element f, the pair-table entries (a, b, c) with f among
     a, b and c, flattened into one int array per element."""
     index = [array("i") for _ in range(pg.size)]
-    for (a, b), c in pg.pairs.items():
+    for (a, b), c in pair_dict(pg).items():
         for f in {a, b, c}:
             index[f].extend((a, b, c))
     return index
@@ -348,7 +406,7 @@ def _completions(src, dst, pinned, cands, index, injective=False):
     product once that is assigned.  With `injective`, an image that is
     already used is skipped.
     """
-    dpairs = dst.pg.pairs
+    dpairs = pair_dict(dst.pg)
     assign = [-1] * src.size
     used = [False] * dst.size
     for x, y in pinned.items():
@@ -490,11 +548,12 @@ def group_isomorphisms_reference(source, target):
 def associativity_reference(T):
     """The cubic scan: (j∘i)∘k = j∘(i∘k) for every composable triple of
     the transporter system T, whatever its size."""
-    for (j, i) in T.compose:
+    compose = compose_dict(T)
+    for (j, i) in compose:
         for k in range(T.mor_count):
             if T.dst[k] == T.src[i]:
-                if (T.compose[(T.compose[(j, i)], k)] !=
-                        T.compose[(j, T.compose[(i, k)])]):
+                if (compose[(compose[(j, i)], k)] !=
+                        compose[(j, compose[(i, k)])]):
                     return "composition is not associative"
     return None
 
@@ -515,8 +574,9 @@ def functor_defect_reference(alpha):
     for i, ide in T.identity_ids.items():
         if alpha.morphism_map[ide] != U.identity_ids[alpha.object_map[i]]:
             return "identities are not preserved"
-    for (j, i), k in T.compose.items():
-        if (U.compose[(alpha.morphism_map[j], alpha.morphism_map[i])] !=
+    image_compose = compose_dict(U)
+    for (j, i), k in compose_dict(T).items():
+        if (image_compose[(alpha.morphism_map[j], alpha.morphism_map[i])] !=
                 alpha.morphism_map[k]):
             return "composition is not preserved"
     return None
@@ -551,7 +611,8 @@ def functor_enumeration_reference(T):
     ldiv = {}
     right_partners: dict[int, list[tuple[int, int]]] = {m: [] for m in range(T.mor_count)}
     left_partners: dict[int, list[tuple[int, int]]] = {m: [] for m in range(T.mor_count)}
-    for (j, i), k in T.compose.items():
+    compose = compose_dict(T)
+    for (j, i), k in compose.items():
         rdiv[(k, i)] = j
         ldiv[(k, j)] = i
         right_partners[i].append((j, k))
@@ -587,7 +648,7 @@ def functor_enumeration_reference(T):
                 m = queue.pop()
                 for (j, k) in right_partners[m]:
                     if j in assign:
-                        c = T.compose.get((assign[j], assign[m]))
+                        c = compose.get((assign[j], assign[m]))
                         if c is None or not force(k, c, queue):
                             return False
                     elif k in assign:
@@ -596,7 +657,7 @@ def functor_enumeration_reference(T):
                             return False
                 for (i, k) in left_partners[m]:
                     if i in assign:
-                        c = T.compose.get((assign[m], assign[i]))
+                        c = compose.get((assign[m], assign[i]))
                         if c is None or not force(k, c, queue):
                             return False
                     elif k in assign:

@@ -178,13 +178,13 @@ def _forging(real):
     first of them with the images of the identity and of one other element
     swapped: a map that is not a homomorphism, so only the caller's
     certificate can drop it."""
-    def forged(src_pairs, dst_pairs, src_inv, dst_inv, *args, **kwargs):
+    def forged(src_rows, dst_rows, src_inv, dst_inv, *args, **kwargs):
         first = None
-        for full in real(src_pairs, dst_pairs, src_inv, dst_inv, *args, **kwargs):
+        for full in real(src_rows, dst_rows, src_inv, dst_inv, *args, **kwargs):
             first = first or full
             yield full
         if first is not None and len(first) > 1:
-            e = next(x for x in range(len(src_inv)) if src_pairs.get((x, x)) == x)
+            e = next(x for x in range(len(src_inv)) if src_rows[x][x] == x)
             other = 1 if e == 0 else 0
             bad = list(first)
             bad[e], bad[other] = bad[other], bad[e]

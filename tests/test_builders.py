@@ -91,7 +91,7 @@ def _through_carrier(loc):
     pg = loc.pg
     return {
         "carrier": tuple(c),
-        "pairs": {(c[a], c[b]): c[v] for (a, b), v in pg.pairs.items()},
+        "pairs": {(c[a], c[b]): c[v] for (a, b), v in oracles.pair_dict(pg).items()},
         "conj_maps": {c[f]: {c[x]: c[y] for x, y in m.items()}
                       for f, m in enumerate(pg.conj_maps)},
         "s": frozenset(c[x] for x in pg.s_members),

@@ -161,18 +161,18 @@ def test_product_walk_sees_past_the_bounded_merge():
 
 def _corrupt_product(loc):
     pg = loc.pg
-    a, b = next(key for key in sorted(pg.pairs)
-                if pg.identity not in key and pg.pairs[key] != pg.identity)
-    table = dict(pg.pairs)
+    table = oracles.pair_dict(pg)
+    a, b = next(key for key in sorted(table)
+                if pg.identity not in key and table[key] != pg.identity)
     table[(a, b)] = pg.identity
     return {"pair_table": table}, None, pg.label_word((a, b))
 
 
 def _extra_pair(loc):
     pg = loc.pg
+    table = oracles.pair_dict(pg)
     a, b = next((a, b) for a in range(pg.size) for b in range(pg.size)
-                if (a, b) not in pg.pairs)
-    table = dict(pg.pairs)
+                if (a, b) not in table)
     table[(a, b)] = pg.identity
     return {"pair_table": table}, None, pg.label_word((a, b))
 
@@ -181,7 +181,7 @@ def _dropped_object(loc):
     pg = loc.pg
     dropped = min((pg.s_f(f) for f in range(pg.size) if pg.s_f(f) != pg.s_members),
                   key=lambda P: (len(P), sorted(P)))
-    pair = min(key for key in pg.pairs if pg.s_of_word(key) == dropped)
+    pair = min(key for key in oracles.pair_dict(pg) if pg.s_of_word(key) == dropped)
     objects = [P for P in pg.objects if P != dropped]
     return {"objects": objects}, None, pg.label_word(pair)
 

@@ -124,7 +124,7 @@ def test_tables_are_not_shared_between_instances():
     v4n, d8 = s4_cr_objects(s4)
     pg = locality_from_group(s4, 2, [v4n, d8]).pg
     v4 = next(P for P in pg.objects if len(P) == 4)
-    w = next(w for w in sorted(pg.pairs) if pg.s_of_word(w) == v4)
+    w = next(w for w in sorted(oracles.pair_dict(pg)) if pg.s_of_word(w) == v4)
     assert pg.word_in_domain(w)  # builds the table of pg
 
     bad = Locality(_mutate(pg, objects=[P for P in pg.objects if P != v4]), 2).pg

@@ -51,20 +51,21 @@ def _system(name: str) -> TransporterSystem:
 
 def _closure(T, gens):
     """Composites of gens by fixpoint iteration over all pairs."""
+    compose = oracles.compose_dict(T)
     reach = set(gens)
     while True:
-        new = {T.compose[(j, i)] for j in reach for i in reach
-               if (j, i) in T.compose} - reach
+        new = {compose[(j, i)] for j in reach for i in reach
+               if (j, i) in compose} - reach
         if not new:
             return reach
         reach |= new
 
 
 def _with_table(T, table):
-    """T with its composition table replaced, generators recomputed; the
-    constructor's checks do not run."""
+    """T with its composition table replaced by the dict `table`, as rows,
+    generators recomputed; the constructor's checks do not run."""
     bad = copy.copy(T)
-    bad.compose = table
+    bad.comp = oracles.rows_of(table, T.mor_count)
     bad.generators = _generating_set(bad)
     return bad
 
@@ -76,7 +77,7 @@ def _swap_pairs(name):
     T = _system(name)
     idents = set(T.identity_ids.values())
     by_ends: dict[tuple[int, int], list] = {}
-    for (j, i), k in sorted(T.compose.items()):
+    for (j, i), k in sorted(oracles.compose_dict(T).items()):
         if j not in idents and i not in idents:
             by_ends.setdefault((T.src[i], T.dst[j]), []).append(((j, i), k))
     return [(a, b) for entries in by_ends.values()
@@ -85,7 +86,7 @@ def _swap_pairs(name):
 
 
 def _swapped_table(T, a, b):
-    table = dict(T.compose)
+    table = oracles.compose_dict(T)
     table[a], table[b] = table[b], table[a]
     return table
 
@@ -149,11 +150,31 @@ def test_swapped_composites_fail_associativity_on_d8():
     table = _swapped_table(T, a, b)
     with pytest.raises(TransporterError, match="composition is not associative"):
         TransporterSystem(T.p, T.s_labels, T.s_mul, T.s_inv, T.objects,
-                          T.fusion, T.src, T.dst, T.g_labels, T.pi, table,
-                          T.delta)
+                          T.fusion, T.src, T.dst, T.g_labels, T.pi,
+                          oracles.rows_of(table, T.mor_count), T.delta)
     bad = _with_table(T, table)
     assert _associativity_defect(bad) == "composition is not associative"
     assert oracles.associativity_reference(bad) == _associativity_defect(bad)
+
+
+def test_a_corrupt_projection_of_a_composite_is_refused():
+    """`transporter_defect` checks that the projection respects
+    composition on generators only.  The projection of a composite that
+    is neither a generator nor a window morphism, replaced by that of
+    another morphism with the same endpoints, passes every check before
+    it, and the generator check still finds it."""
+    T = _system("s4/Lcr")
+    window = set(T.delta.values())
+    m, other = next((m, o) for m in range(T.mor_count)
+                    if m not in T.generators and m not in window
+                    for o in T.mor(T.src[m], T.dst[m]) if T.pi[o] != T.pi[m])
+    pi = list(T.pi)
+    pi[m] = T.pi[other]
+    with pytest.raises(TransporterError,
+                       match="projection does not respect composition"):
+        TransporterSystem(T.p, T.s_labels, T.s_mul, T.s_inv, T.objects,
+                          T.fusion, T.src, T.dst, T.g_labels, pi, T.comp,
+                          T.delta)
 
 
 @settings(max_examples=40, deadline=None)

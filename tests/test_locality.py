@@ -142,7 +142,7 @@ def test_s5_transposition_family_is_genuinely_partial(s5):
 
     assert loc.size == 40
     assert not loc.proven_full
-    assert len(loc.pg.pairs) == 1088  # 512 of 1600 pairs are undefined
+    assert len(oracles.pair_dict(loc.pg)) == 1088  # 512 of 1600 pairs are undefined
 
     rep = validate_locality(loc, k=3)
     assert rep.ok, rep.lines()
@@ -203,7 +203,7 @@ def test_s5_restriction_to_v4_and_d8(s5):
 def test_word_domain_check_produces_chains(s5):
     objs = s5_transposition_objects(s5)
     loc = locality_from_group(s5, 2, objs)
-    good = next(iter(sorted(loc.pg.pairs)))
+    good = next(iter(sorted(oracles.pair_dict(loc.pg))))
     wit = loc.word_domain_check(good)
     assert wit.in_domain
     assert wit.chain[0] == wit.s_w
@@ -289,20 +289,22 @@ def test_non_subgroup_object_is_rejected(s4):
 
 
 def _mutate(pg, **kwargs):
-    """Rebuild a ChainPartialGroup with some component replaced."""
+    """Rebuild a ChainPartialGroup with some component replaced; a
+    replacement `pair_table` is a dict {(a, b): ab}, made into rows."""
     fields = dict(
         labels=pg.labels, inv=pg.inv, identity=pg.identity,
-        pair_table=pg.pairs, conj_maps=pg.conj_maps,
+        pair_table=oracles.pair_dict(pg), conj_maps=pg.conj_maps,
         s_members=pg.s_members, objects=pg.objects,
     )
     fields.update(kwargs)
-    return ChainPartialGroup(**fields)
+    rows = oracles.rows_of(fields.pop("pair_table"), len(fields["labels"]))
+    return ChainPartialGroup(rows=rows, **fields)
 
 
 def test_corrupt_pair_value_is_detected(s5):
     loc = locality_from_group(s5, 2, s5_transposition_objects(s5))
     pg = loc.pg
-    table = dict(pg.pairs)
+    table = oracles.pair_dict(pg)
     (a, b) = next((k for k in sorted(table)
                    if table[k] != pg.identity and k[0] != pg.identity
                    and k[1] != pg.identity))
@@ -338,7 +340,7 @@ def test_extra_pair_is_detected(s5):
     pg = loc.pg
     a = loc.element("(1 2)")
     b = loc.element("(1 2 4)(3 5)")
-    table = dict(pg.pairs)
+    table = oracles.pair_dict(pg)
     assert (a, b) not in table
     prod = next(g for g in range(pg.size)
                 if pg.labels[g] == "(4 5)")  # arbitrary wrong target

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loclab import transporter
-from loclab.extension import compose_maps, hom_completions, iso_defect
+from loclab.extension import (automorphism_group, compose_maps, hom_completions,
+                              iso_defect)
 from loclab.fixtures import build_fixture
 from loclab.groups import (
     is_characteristic_p,
@@ -334,11 +335,11 @@ def test_inclusion_twist_is_spotted():
         pick = (next(x for x in P if lab[x] == "(1 2)(3 4)")
                 if len(P) == 4 else T_cr.s_identity)
         legs[i] = T_cr.delta[(i, i, pick)]
+    compose = oracles.compose_dict(T_cr)
     mor_map = []
     for m in range(T_cr.mor_count):
         i, j = T_cr.src[m], T_cr.dst[m]
-        mor_map.append(T_cr.compose[(T_cr.compose[(legs[j], m)],
-                                     T_cr.inverse(legs[i]))])
+        mor_map.append(compose[(compose[(legs[j], m)], T_cr.inverse(legs[i]))])
     twist = CategoryFunctor(T_cr, T_cr, tuple(range(len(T_cr.objects))),
                             tuple(mor_map))
     flags = classify_functor(twist)
@@ -347,6 +348,44 @@ def test_inclusion_twist_is_spotted():
     assert not is_transporter_iso(twist)
     with pytest.raises(TransporterError, match="not an isomorphism"):
         lambda_map(twist)
+
+
+def test_a_forged_lift_of_a_non_generator_is_refused(monkeypatch):
+    """`aut_transporter` classifies the lifts of the generators of Aut(L)
+    only, and requires every other lift to be one of their composites.
+    The lift of one non-generator with two images swapped is not, and is
+    refused, before the direct enumeration runs."""
+    _, T = _fresh_s4_cr()
+    group = automorphism_group(locality_of_transporter(T))
+    target = next(group.tokens[i] for i in range(group.order)
+                  if i not in group.generators and i != group.identity)
+    real = transporter._lift_locality_aut
+    forged = []
+
+    def lift(system, sigma):
+        alpha = real(system, sigma)
+        if system is T and tuple(sigma) == target:
+            a, b = next(_hom_set_pairs(T))
+            images = list(alpha.morphism_map)
+            images[a], images[b] = images[b], images[a]
+            alpha = CategoryFunctor(T, T, alpha.object_map, tuple(images))
+            forged.append(alpha)
+        return alpha
+
+    monkeypatch.setattr(transporter, "_lift_locality_aut", lift)
+    with pytest.raises(TransporterError, match="not the closure of the "
+                       "certified generator lifts"):
+        aut_transporter(T)
+    assert len(forged) == 1 and not is_transporter_iso(forged[0])
+
+
+def _hom_set_pairs(T):
+    """Pairs of non-identity morphisms in one hom set, in id order."""
+    idents = set(T.identity_ids.values())
+    for i in range(len(T.objects)):
+        for j in range(len(T.objects)):
+            ids = [m for m in T.mor(i, j) if m not in idents]
+            yield from ((a, b) for k, a in enumerate(ids) for b in ids[k + 1:])
 
 
 def test_descent_is_decided_by_membership():
@@ -367,10 +406,11 @@ def test_descent_is_decided_by_membership():
 
 def test_morphism_factorization_over_the_image():
     _, _, _, _, _, T_cr, _ = _s4()
+    compose = oracles.compose_dict(T_cr)
     for m in range(T_cr.mor_count):
         part, r_idx = T_cr.image_factor(m)
         assert T_cr.is_iso(part)
-        back = T_cr.compose[(T_cr.incl[(r_idx, T_cr.dst[m])], part)]
+        back = compose[(T_cr.incl[(r_idx, T_cr.dst[m])], part)]
         assert back == m
     ide = T_cr.incl[(0, 1)]
     part, r_idx = T_cr.image_factor(ide)
@@ -392,8 +432,9 @@ def test_restrictions_are_unique_and_commute(data):
     q0 = data.draw(st.sampled_from(targets))
     r = T_cr.restrict_mor(m, p0, q0)
     assert r is not None
-    left = T_cr.compose[(T_cr.incl[(q0, q_idx)], r)]
-    right = T_cr.compose[(m, T_cr.incl[(p0, p_idx)])]
+    compose = oracles.compose_dict(T_cr)
+    left = compose[(T_cr.incl[(q0, q_idx)], r)]
+    right = compose[(m, T_cr.incl[(p0, p_idx)])]
     assert left == right
 
 
