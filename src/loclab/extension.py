@@ -31,12 +31,12 @@ object-preserving alpha_S stops at the first completion that is an
 isomorphism; the products beta rho (rho in R) are automorphisms without a
 new certificate.
 
-`locality_automorphisms` and `rigid_automorphisms` keep the two sorted
-tuples of that search on the Locality instance, so each locality is
-searched at most once, and each call hands out a fresh list.  The same
-memo keeps the automorphisms as a frozenset, so that deciding whether a
-map is a certified automorphism (`is_locality_automorphism`) is one
-lookup.
+The two sorted tuples of that search are kept on the Locality by
+`groups._kept`, so each locality is searched at most once;
+`locality_automorphisms` and `rigid_automorphisms` hand out a fresh list
+per call.  The automorphisms are also kept as a frozenset, so that
+deciding whether a map is a certified automorphism
+(`is_locality_automorphism`) is one lookup.
 
 Group-level checks work on generators.  `automorphism_group` is Aut(L)
 as a generated group: the sorted tuple with a composition that looks
@@ -52,7 +52,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 from .fusion import fusion_from_locality
-from .groups import (FiniteGroup, automorphisms, generating_sequence,
+from .groups import (FiniteGroup, _kept, automorphisms, generating_sequence,
                      generator_image_search)
 from .locality import ChainPartialGroup, Locality
 from .partial import generated_partial_subgroup
@@ -279,8 +279,8 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
     element, is skipped unsearched.  Complete, as a map is determined by
     its images of `_generators_over_s`; sound, as each map kept passes
     `hom_defect` and `_converse_defect` and is injective on a set of its
-    own size.  Not memoised; `locality_automorphisms` and
-    `rigid_automorphisms` are.
+    own size.  Not kept itself; `locality_automorphisms` and
+    `rigid_automorphisms` keep its result.
     """
     pg = loc.pg
     ids, cls, members = _map_classes(pg)
@@ -311,33 +311,29 @@ def search_automorphisms(loc: Locality) -> tuple[tuple[tuple[int, ...], ...],
     return tuple(sorted(set(out))), rigid
 
 
-def _memoised_search(loc: Locality) -> None:
-    if loc._automorphisms is None:
-        loc._automorphisms, loc._rigid_automorphisms = search_automorphisms(loc)
-        loc._automorphism_set = frozenset(loc._automorphisms)
-
-
 def locality_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
     """All automorphisms of the locality, as image tuples, sorted.
 
     Searched once per Locality instance; each call returns a fresh list.
     """
-    _memoised_search(loc)
-    return list(loc._automorphisms)
+    return list(_kept(loc, search_automorphisms)[0])
 
 
 def rigid_automorphisms(loc: Locality) -> list[tuple[int, ...]]:
     """Automorphisms restricting to the identity on S, sorted; from the
-    same memoised search as `locality_automorphisms`."""
-    _memoised_search(loc)
-    return list(loc._rigid_automorphisms)
+    same kept search as `locality_automorphisms`."""
+    return list(_kept(loc, search_automorphisms)[1])
+
+
+@_kept
+def _automorphism_set(loc: Locality) -> frozenset[tuple[int, ...]]:
+    return frozenset(_kept(loc, search_automorphisms)[0])
 
 
 def is_locality_automorphism(loc: Locality, alpha: Sequence[int]) -> bool:
     """Whether alpha is an automorphism of loc: membership in the set of
-    the memoised search, which certified each of its members."""
-    _memoised_search(loc)
-    return tuple(alpha) in loc._automorphism_set
+    the kept search, which certified each of its members."""
+    return tuple(alpha) in _automorphism_set(loc)
 
 
 def compose_maps(first: Sequence[int], second: Sequence[int]) -> tuple[int, ...]:
@@ -380,13 +376,11 @@ class AutomorphismGroup(FiniteGroup):
         return str(self.tokens[i])
 
 
+@_kept
 def automorphism_group(loc: Locality) -> AutomorphismGroup:
     """Aut(L) with its generating sequence, built once per Locality from
-    the memoised search."""
-    if loc._aut_group is None:
-        _memoised_search(loc)
-        loc._aut_group = AutomorphismGroup(loc._automorphisms)
-    return loc._aut_group
+    the kept search."""
+    return AutomorphismGroup(_kept(loc, search_automorphisms)[0])
 
 
 # ---------------------------------------------------------------------------

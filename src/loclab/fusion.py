@@ -30,6 +30,7 @@ from .groups import (
     FiniteGroup,
     Subgroup,
     TableGroup,
+    _kept,
     _p_part,
     automorphisms,
     p_core,
@@ -558,27 +559,24 @@ def generated_fusion(p: int, s: Iterable[int], mul: Callable[[int, int], int],
     return FusionSystem(p, s, mul, inv, emb, label_fn=label_fn)
 
 
+@_kept
 def fusion_from_group(group: FiniteGroup, p: int) -> FusionSystem:
     """The fusion system of a finite group on its Sylow p-subgroup
     `sylow_p(group, p)`: morphisms are the conjugation maps c_g between
     subgroups of S.  The system is kept on the group, per p."""
-    if p not in group._fusion_cache:
-        s = tuple(sorted(sylow_p(group, p).members))
-        s_set = set(s)
-        gens = []
-        for g in group.indices():
-            dom = frozenset(x for x in s if group.conj(x, g) in s_set)
-            gens.append((dom, {x: group.conj(x, g) for x in dom}))
-        group._fusion_cache[p] = generated_fusion(p, s, group.mul, group.inv, gens,
-                                                  label_fn=group.label)
-    return group._fusion_cache[p]
+    s = tuple(sorted(sylow_p(group, p).members))
+    s_set = set(s)
+    gens = []
+    for g in group.indices():
+        dom = frozenset(x for x in s if group.conj(x, g) in s_set)
+        gens.append((dom, {x: group.conj(x, g) for x in dom}))
+    return generated_fusion(p, s, group.mul, group.inv, gens, label_fn=group.label)
 
 
+@_kept
 def fusion_from_locality(loc) -> FusionSystem:
     """The fusion system of a locality: generated by the conjugation maps
     c_f on their full domains S_f.  The system is kept on the locality."""
-    if loc._fusion is not None:
-        return loc._fusion
     pg = loc.pg
     rows = pg.rows
 
@@ -589,9 +587,8 @@ def fusion_from_locality(loc) -> FusionSystem:
         return c
 
     gens = [(frozenset(cmap), dict(cmap)) for cmap in pg.conj_maps]
-    loc._fusion = generated_fusion(loc.p, pg.s_members, mul, lambda i: pg.inv[i],
-                                   gens, label_fn=lambda i: pg.labels[i])
-    return loc._fusion
+    return generated_fusion(loc.p, pg.s_members, mul, lambda i: pg.inv[i],
+                            gens, label_fn=lambda i: pg.labels[i])
 
 
 # ---- structural validation ---------------------------------------------------

@@ -10,10 +10,15 @@ All subgroup-valued functions return `Subgroup` objects with sorted member
 tuples; all enumerations are sorted.  Member sets are closed by one
 routine, the coset walk `_adjoin`, which adjoins one element to a closed
 subgroup; a closure from scratch is a fold of it over the seed.
+
+Derived data is kept by one helper, `_kept`: a value computed from an
+object that is not changed after construction (a group, a locality, a
+transporter system) is computed once and stored on that object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -27,15 +32,43 @@ class GroupBuildError(ValueError):
     pass
 
 
+def _kept(obj, fn=None, *args):
+    """fn(obj, *args), computed once and kept on obj.
+
+    As a call, `_kept(obj, fn, *args)` looks the value up in a store on
+    obj keyed by (fn, *args) and computes it on a miss; None is kept like
+    any other value.  The call form reads fn where it is called, so a
+    module-global fn replaced there (say, to count computations) is the
+    one called and the key.  As a decorator, `@_kept` makes fn keep its
+    own values, keyed by the undecorated function.  The store is one
+    attribute, `_derived`, made on the first call, so a constructor
+    declares no memo.  Sound only for objects that are not changed after
+    construction.  Private, so that `bench/tracer.py`, which gives every
+    public function a span, does not move the self time of each computed
+    value into a span of this helper.
+    """
+    if fn is None:
+        compute = obj
+
+        @functools.wraps(compute)
+        def keeping(obj, *args):
+            return _kept(obj, compute, *args)
+        return keeping
+    store = obj.__dict__.setdefault("_derived", {})
+    key = (fn, *args)
+    if key not in store:
+        store[key] = fn(obj, *args)
+    return store[key]
+
+
 class FiniteGroup:
-    """Index-based finite group. Subclasses fill _labels and _mul_index."""
+    """Index-based finite group.  Subclasses set order, identity and _inv
+    and define mul and label."""
 
     def __init__(self) -> None:
         self.order: int = 0
         self.identity: int = 0
         self._inv: tuple[int, ...] = ()
-        self._sylow_cache: dict[int, Subgroup] = {}  # sylow_p, per prime
-        self._fusion_cache: dict = {}  # fusion.fusion_from_group, per prime
 
     def mul(self, i: int, j: int) -> int:
         raise NotImplementedError
@@ -182,7 +215,7 @@ class Subgroup:
     def labels(self) -> list[str]:
         return [self.group.label(i) for i in self.members]
 
-    def __repr__(self) -> str:  # keep hashing by content, not by group identity
+    def __repr__(self) -> str:  # members only; equality also needs the same group
         return f"Subgroup(order={self.order}, members={self.members})"
 
     def __hash__(self) -> int:
@@ -252,15 +285,13 @@ def _adjoin(group: FiniteGroup, members: tuple[int, ...], gens: Sequence[int],
     return tuple(sorted(out))
 
 
+@_kept
 def subgroup_lattice(group: FiniteGroup) -> list[Subgroup]:
     """All subgroups, by iterated joins of cyclic subgroups.
 
     Complete because every subgroup is a join of the cyclic subgroups of its
-    elements.  Sorted by (order, member tuple).  Cached per group instance.
+    elements.  Sorted by (order, member tuple).  Kept on the group.
     """
-    cached = getattr(group, "_lattice_cache", None)
-    if cached is not None:
-        return cached
     cyclic_gen: dict[tuple[int, ...], int] = {}
     for g in group.indices():
         c = subgroup_closure(group, [g])
@@ -282,9 +313,7 @@ def subgroup_lattice(group: FiniteGroup) -> list[Subgroup]:
                     found[j] = a_gens + [g]
                     new.append(j)
         frontier = new
-    out = [Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), m))]
-    group._lattice_cache = out
-    return out
+    return [Subgroup(group, m) for m in sorted(found, key=lambda m: (len(m), m))]
 
 
 def _p_part(n: int, p: int) -> int:
@@ -295,6 +324,7 @@ def _p_part(n: int, p: int) -> int:
     return out
 
 
+@_kept
 def sylow_p(group: FiniteGroup, p: int) -> Subgroup:
     """The least canonical Sylow p-subgroup (by sorted member tuple).
 
@@ -304,12 +334,6 @@ def sylow_p(group: FiniteGroup, p: int) -> Subgroup:
     Sylow p-subgroups are conjugate, so taking the least conjugate at the
     end makes the result canonical.  The result is kept on the group, per p.
     """
-    if p not in group._sylow_cache:
-        group._sylow_cache[p] = _least_sylow(group, p)
-    return group._sylow_cache[p]
-
-
-def _least_sylow(group: FiniteGroup, p: int) -> Subgroup:
     target = _p_part(group.order, p)
     cur: tuple[int, ...] = (group.identity,)
     gens: list[int] = []

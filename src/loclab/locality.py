@@ -33,6 +33,7 @@ from .groups import (
     GroupBuildError,
     Subgroup,
     TableGroup,
+    _kept,
     _p_part,
     is_p_group,
     subgroup_closure,
@@ -243,19 +244,9 @@ class Locality:
         self.carrier = carrier
         self.parent = parent
         self.parent_index = parent_index
-        self._s_group: TableGroup | None = None
-        # memos of validate_locality (one report answers every k),
-        # fusion_from_locality, transporter_of_locality, extension's
-        # automorphism search (the sorted tuples, their set and the
-        # generated group view) and normal.enumerate_partial_normal
-        self._validation: LocalityReport | None = None
-        self._fusion: FusionSystem | None = None
-        self._transporter = None
-        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
-        self._rigid_automorphisms: tuple[tuple[int, ...], ...] | None = None
-        self._automorphism_set: frozenset[tuple[int, ...]] | None = None
-        self._aut_group = None
-        self._partial_normals: tuple | None = None
+        # derived data (S as a group, the validation report, the fusion
+        # and transporter systems, the automorphisms, the partial normal
+        # family) is kept on the instance by `groups._kept`
 
     # -- basics ---------------------------------------------------------------
 
@@ -314,10 +305,9 @@ class Locality:
         """N_L(P) with the induced product; raises if a product is missing."""
         return subgroup_table_group(self.pg, self.n_of(P))
 
+    @_kept
     def s_group(self) -> TableGroup:
-        if self._s_group is None:
-            self._s_group = subgroup_table_group(self.pg, sorted(self.s))
-        return self._s_group
+        return subgroup_table_group(self.pg, sorted(self.s))
 
     def s_overgroups(self, P: Iterable[int]) -> list[frozenset[int]]:
         """All subgroups Q with P <= Q <= S, via the lattice of S."""
@@ -640,12 +630,13 @@ def carrier_certificate(loc: Locality) -> ValidationReport:
       (a) c is injective, c(1) = 1 and c(f^-1) = c(f)^-1;
       (b) the conjugation map of f is x -> x^c(f) in M, defined on exactly
           the x in S with x^c(f) in S;
-      (c) a pair (a, b) is in the table exactly when S_(a,b) is an object,
-          and then c(ab) = c(a)c(b).
+      (c) every pair (a, b) in the table has c(ab) = c(a)c(b).
 
     Given these and `locality_structure_checks` (S a subgroup, objects
     subgroups of S closed under overgroups in S and under conjugation,
-    S_f an object for every f), a finite argument covers every length.
+    S_f an object for every f, and `pair-table-matches-domain`: a pair is
+    in the table exactly when S_(a,b) is an object), a finite argument
+    covers every length.
     Let w = (f_1, ..., f_n) have S_w an object.
 
     - By (b), S_u for any word u is the meet of S with S^(g^-1) over the
@@ -656,8 +647,8 @@ def carrier_certificate(loc: Locality) -> ValidationReport:
       letters, then x^c(Pi(u)) lies in S for every x in S_u, so
       S_w <= S_u <= S_Pi(u).  Hence S_(Pi(u), f) contains S_(u, f) and so
       S_w for the next letter f; it is a subgroup over an object, hence an
-      object, and (c) puts the pair in the table with the product of M.
-      The same gives "S_w <= S_Pi(w)" and "conjugation along w is
+      object, so the pair is in the table and (c) gives it the product of
+      M.  The same gives "S_w <= S_Pi(w)" and "conjugation along w is
       conjugation by Pi(w)".
     - PG1: S_u >= S_w for a prefix u, and for the rest v of w,
       S_v >= S_w^Pi(u), an object by conjugation closure; S and every S_f
@@ -726,18 +717,10 @@ def carrier_certificate(loc: Locality) -> ValidationReport:
                     return report()
                 break
 
-    # (c) the pair table
-    for a in range(pg.size):
-        row = pg.rows[a]
-        for b in range(pg.size):
-            c = row[b]
-            if pg.word_in_domain((a, b)) != (c is not None):
-                side = "not an object" if c is not None else "an object"
-                if add("domain", f"pair {pg.label_word((a, b))} is "
-                       f"{'in' if c is not None else 'missing from'} the "
-                       f"table, but its S subgroup is {side}"):
-                    return report()
-            elif c is not None and car[c] != M.mul(car[a], car[b]):
+    # (c) the products of the pair table
+    for a, row in enumerate(pg.rows):
+        for b, c in enumerate(row):
+            if c is not None and car[c] != M.mul(car[a], car[b]):
                 if add("product", f"the table gives {pg.label_word((a, b))} "
                        f"= {labels[c]}; M gives {M.label(M.mul(car[a], car[b]))}"):
                     return report()
@@ -899,8 +882,10 @@ def validate_locality(loc: Locality, k: int) -> LocalityReport:
     locality.  Both are exact at every word length, so `k` does not change
     the result; the parameter stays for callers that state a length.  The
     report is kept on the Locality."""
-    if loc._validation is not None:
-        return loc._validation
+    return _kept(loc, _validate_locality)
+
+
+def _validate_locality(loc: Locality) -> LocalityReport:
     structure = locality_structure_checks(loc)
     broken = [c.name for c in structure if not c.ok]
     if loc.ambient is None or loc.carrier is None:
@@ -918,5 +903,4 @@ def validate_locality(loc: Locality, k: int) -> LocalityReport:
         f"word {loc.pg.label_word(mismatch[0])} in {mismatch[1]}")
     checks = (LocalityCheck("partial-group", pg_report.ok, detail), *structure,
               LocalityCheck("domain-matches-chains", mismatch is None, dom_detail))
-    loc._validation = LocalityReport(all(c.ok for c in checks), checks, pg_report)
-    return loc._validation
+    return LocalityReport(all(c.ok for c in checks), checks, pg_report)

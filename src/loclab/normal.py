@@ -20,7 +20,7 @@ from typing import Iterable
 
 from .extension import projection_defect
 from .fusion import FusionSystem, fusion_from_locality, generated_fusion
-from .groups import _p_part, is_characteristic_p, p_core, p_residual
+from .groups import _kept, _p_part, is_characteristic_p, p_core, p_residual
 from .locality import (ChainPartialGroup, Locality, _UnionFind,
                        locality_structure_checks, sub_locality)
 from .partial import generated_partial_subgroup, subgroup_table_group
@@ -132,9 +132,7 @@ def enumerate_partial_normal(loc: Locality, cap: int = ENUM_CAP) -> list[Partial
     """
     if loc.size > cap:
         raise NormalError(f"carrier size {loc.size} exceeds cap {cap}")
-    if loc._partial_normals is None:
-        loc._partial_normals = _partial_normal_family(loc)
-    return list(loc._partial_normals)
+    return list(_kept(loc, _partial_normal_family))
 
 
 def _partial_normal_family(loc: Locality) -> tuple[PartialNormalSet, ...]:

@@ -12,12 +12,13 @@ the bridge back to the word-based localities, which conjugate on the
 right, performs the orientation flip in exactly one place, marked in
 _locality_bridge.
 
-A locality keeps its system and the system keeps its bridge, its
-automorphisms, its image factorisations, its linking-system verdict, its
-outer automorphism data and the verdict on every functor out of it, so
-each is built and checked once.  That is sound because a
-system is never changed after construction.  The bridge scans no word;
-`_build_locality` says where its word-level guarantee comes from.
+`groups._kept` keeps a locality's system on the locality, and the
+system's bridge, automorphisms, image factorisations, linking-system
+verdict and outer automorphism data on the system; the system also keeps
+the verdict on every functor out of it.  So each is built and checked
+once, which is sound because a system is never changed after
+construction.  The bridge scans no word; `_build_locality` says where its
+word-level guarantee comes from.
 
 Each system also keeps a generating set of its morphisms.  Associativity
 and the projection's respect for composition (`transporter_defect`) and
@@ -34,8 +35,8 @@ from typing import Iterable, Sequence
 from .extension import (automorphism_group, iso_defect, is_locality_automorphism,
                         locality_automorphisms)
 from .fusion import FusionSystem, fusion_from_locality, generated_fusion
-from .groups import (FiniteGroup, TableGroup, _p_part, is_characteristic_p,
-                     p_core)
+from .groups import (FiniteGroup, TableGroup, _kept, _p_part,
+                     is_characteristic_p, p_core)
 from .locality import (ChainPartialGroup, Locality, _UnionFind, canonical_objects,
                        locality_structure_checks, restriction)
 
@@ -57,9 +58,8 @@ class TransporterSystem:
     starts; the rows are a tuple of |Mor| tuples of |Mor| entries, built
     once by the caller and read by every composition loop.  `generators`
     is the greedy generating set of `_generating_set`.  The tables are
-    not changed after construction: the memos kept on the system rely on
-    that.  The memo of `linking_system_defect` is a 1-tuple, since None
-    is a verdict.
+    not changed after construction: the values that `groups._kept` keeps
+    on the system rely on that.
     """
 
     def __init__(self, p: int, s_labels: Sequence[str],
@@ -83,12 +83,7 @@ class TransporterSystem:
         self.pi = tuple(dict(m) for m in pi)
         self.comp = tuple(map(tuple, comp))
         self.delta = dict(delta)
-        self._loc_cache = None
-        self._auts: tuple[CategoryFunctor, ...] | None = None
-        self._image_factors: tuple[tuple[int, int], ...] | None = None
         self._verdicts: dict[tuple, bool] = {}
-        self._linking_defect: tuple[str | None] | None = None
-        self._out_typ: dict | None = None
 
         n = len(self.s_labels)
         self.s_identity = next(e for e in range(n)
@@ -176,18 +171,14 @@ class TransporterSystem:
             raise TransporterError("internal: morphism has no image factor")
         return part, r_idx
 
+    @_kept
     def _image_factor_table(self) -> tuple[tuple[int, int], ...]:
-        if self._image_factors is None:
-            self._image_factors = tuple(self.image_factor(m)
-                                        for m in range(self.mor_count))
-        return self._image_factors
+        return tuple(self.image_factor(m) for m in range(self.mor_count))
 
     # -- the bridge to localities -------------------------------------------
 
     def _locality_bridge(self):
-        if self._loc_cache is None:
-            self._loc_cache = _build_locality(self)
-        return self._loc_cache
+        return _kept(self, _build_locality)
 
 
 # ---- axiom checks -------------------------------------------------------
@@ -501,11 +492,10 @@ def _assemble(p, s_labels, s_mul, s_inv, objects, fusion, triples,
                              src, dst, g_labels, pi, comp, delta)
 
 
+@_kept
 def transporter_of_locality(loc: Locality) -> TransporterSystem:
     """The category whose morphisms P -> Q are the triples (P, Q, g)
     with g carrying P into Q from the left; kept on the Locality."""
-    if loc._transporter is not None:
-        return loc._transporter
     pg = loc.pg
     s_sorted = sorted(pg.s_members)
     tok = {x: i for i, x in enumerate(s_sorted)}
@@ -535,10 +525,9 @@ def transporter_of_locality(loc: Locality) -> TransporterSystem:
         c = pg.rows[pg.inv[gi]][pg.inv[gj]]
         return None if c is None else pg.inv[c]
 
-    loc._transporter = _assemble(loc.p, s_labels, s_mul, s_inv, objects, fusion,
-                                 set(triples), lambda g: conj_cache[g], mul_g,
-                                 lambda g: pg.labels[g])
-    return loc._transporter
+    return _assemble(loc.p, s_labels, s_mul, s_inv, objects, fusion,
+                     set(triples), lambda g: conj_cache[g], mul_g,
+                     lambda g: pg.labels[g])
 
 
 def transporter_of_group(group: FiniteGroup, objects: Iterable[Iterable[int]],
@@ -994,10 +983,10 @@ def lambda_map(alpha: CategoryFunctor) -> tuple[int, ...]:
     the class of a morphism goes to the class of its image.
 
     The map is certified as an isomorphism.  For a self-map of one system
-    that is membership in the automorphisms certified by the memoised
-    search of the bridge locality (`is_locality_automorphism`), one
-    lookup; between two systems it is `iso_defect`.  Either way the
-    image of S and the object correspondence are checked after."""
+    that is membership in the automorphisms certified by the kept search
+    of the bridge locality (`is_locality_automorphism`), one lookup;
+    between two systems it is `iso_defect`.  Either way the image of S
+    and the object correspondence are checked after."""
     if not is_transporter_iso(alpha):
         raise TransporterError("the functor is not an isomorphism of "
                                "transporter categories")
@@ -1066,46 +1055,43 @@ def aut_transporter(T: TransporterSystem) -> list[CategoryFunctor]:
     """All isotypical inclusion-preserving self-equivalences, obtained
     by lifting the automorphisms of the associated locality.
 
-    Only the lifts of the generators of `automorphism_group` are
-    classified.  Composites of isotypical, inclusion-preserving
+    Only the generators of `automorphism_group` are lifted, and each
+    lift is classified.  Composites of isotypical, inclusion-preserving
     equivalences are again such equivalences, and so is the identity, so
     every member of the closure of the certified generator lifts under
-    `compose_functors` is one.  The lifted set must equal that closure,
-    as a set of morphism maps, and each member of the closure is recorded
-    as a True verdict of `is_transporter_iso`, so that no later check
-    classifies it again.
+    `compose_functors` is one.  The closure must have as many members as
+    Aut(L), and each member is recorded as a True verdict of
+    `is_transporter_iso`, so that no later check classifies it again.
 
-    On systems of at most 3 objects and 200 morphisms the list is
+    On systems of at most 3 objects and 200 morphisms the closure is
     cross-checked against `_enumerate_functors_directly`, which never
-    reads the lifted list.  The list is kept on T, as are the verdict of
-    `is_transporter_iso` on each functor and the image factorisation of
-    each morphism; T is not changed after construction, so these stay
+    reads the locality side.  The list is kept on T, as are the verdict
+    of `is_transporter_iso` on each functor and the image factorisation
+    of each morphism; T is not changed after construction, so these stay
     valid.  Each call hands out a fresh copy of the list."""
-    if T._auts is None:
-        loc, _, _, _, _ = T._locality_bridge()
-        lifts = {sigma: _lift_locality_aut(T, sigma)
-                 for sigma in locality_automorphisms(loc)}
-        out = list(lifts.values())
-        if len({a.morphism_map for a in out}) != len(out):
-            raise TransporterError("internal: lifted automorphisms collide")
-        group = automorphism_group(loc)
-        gens = [lifts[group.tokens[g]] for g in group.generators]
-        if not all(is_transporter_iso(alpha) for alpha in gens):
-            raise TransporterError("internal: lifted functor is not an "
-                                   "isomorphism")
-        closure = _functor_closure(T, gens)
-        if {a.morphism_map for a in closure} != {a.morphism_map for a in out}:
-            raise TransporterError("internal: the lifted automorphisms are not "
-                                   "the closure of the certified generator lifts")
-        for alpha in closure:
-            T._verdicts[(T, alpha.object_map, alpha.morphism_map)] = True
-        if len(T.objects) <= 3 and T.mor_count <= 200:
-            direct = _enumerate_functors_directly(T)
-            if ({a.morphism_map for a in direct} != {a.morphism_map for a in out}):
-                raise TransporterError("internal: direct enumeration disagrees "
-                                       "with the lifted automorphisms")
-        T._auts = tuple(sorted(out, key=lambda a: a.morphism_map))
-    return list(T._auts)
+    return list(_kept(T, _aut_transporter))
+
+
+def _aut_transporter(T: TransporterSystem) -> tuple[CategoryFunctor, ...]:
+    loc = T._locality_bridge()[0]
+    group = automorphism_group(loc)
+    gens = [_lift_locality_aut(T, group.tokens[g]) for g in group.generators]
+    if not all(is_transporter_iso(alpha) for alpha in gens):
+        raise TransporterError("internal: lifted functor is not an "
+                               "isomorphism")
+    closure = _functor_closure(T, gens)
+    if len(closure) != len(locality_automorphisms(loc)):
+        raise TransporterError("internal: the closure of the certified "
+                               "generator lifts is not the size of Aut(L)")
+    for alpha in closure:
+        T._verdicts[(T, alpha.object_map, alpha.morphism_map)] = True
+    if len(T.objects) <= 3 and T.mor_count <= 200:
+        direct = _enumerate_functors_directly(T)
+        if ({a.morphism_map for a in direct} !=
+                {a.morphism_map for a in closure}):
+            raise TransporterError("internal: direct enumeration disagrees "
+                                   "with the lifted automorphisms")
+    return tuple(sorted(closure, key=lambda a: a.morphism_map))
 
 
 def _functor_closure(T: TransporterSystem,
@@ -1317,9 +1303,7 @@ def inner_auts(T: TransporterSystem) -> list[CategoryFunctor]:
 
 def linking_system_defect(T: TransporterSystem) -> str | None:
     """Why T is not a linking system, else None; kept on T."""
-    if T._linking_defect is None:
-        T._linking_defect = (_linking_system_defect(T),)
-    return T._linking_defect[0]
+    return _kept(T, _linking_system_defect)
 
 
 def _linking_system_defect(T: TransporterSystem) -> str | None:
@@ -1417,9 +1401,7 @@ def out_typ(T: TransporterSystem) -> dict:
     """Outer automorphism data: the full automorphism list modulo the
     inner ones, with the exactness facts asserted along the way.  Kept
     on T; each call hands out a fresh dict."""
-    if T._out_typ is None:
-        T._out_typ = _out_typ(T)
-    return dict(T._out_typ)
+    return dict(_kept(T, _out_typ))
 
 
 def _out_typ(T: TransporterSystem) -> dict:

@@ -15,6 +15,7 @@ the rows are made to fail.
 import glob
 import itertools
 import os
+import types
 
 import pytest
 
@@ -128,8 +129,9 @@ def test_a_full_subcategory_keeps_the_parent_rows():
 
 # ---- one representation ----------------------------------------------------
 
-# tables of a system keyed by object indices (incl, the hom sets, delta)
-# or by functors (the verdicts); none is keyed by a pair of morphisms
+# tables of a system keyed by object indices (incl, the hom sets, delta),
+# by functors (the verdicts) or by the functions whose values
+# `groups._kept` keeps; none is keyed by a pair of morphisms
 OBJECT_KEYED = {"incl": 2, "_by_pair": 2, "delta": 2}
 
 
@@ -148,13 +150,15 @@ def test_no_instance_keeps_a_tuple_keyed_table(name):
     for pg in pgs:
         assert _tuple_keyed(pg) == {}
     tables = _tuple_keyed(T)
-    assert set(tables) <= set(OBJECT_KEYED) | {"_verdicts"}
+    assert set(tables) <= set(OBJECT_KEYED) | {"_verdicts", "_derived"}
     n_obj = len(T.objects)
     for table_name, width in OBJECT_KEYED.items():
         assert all(all(0 <= x < n_obj for x in key[:width])
                    for key in tables.get(table_name, ()))
     assert all(key[0] is T or isinstance(key[0], TransporterSystem)
                for key in tables.get("_verdicts", ()))
+    assert all(isinstance(key[0], types.FunctionType)
+               for key in tables.get("_derived", ()))
 
 
 # ---- hom_defect against the dict loop it replaced ------------------------

@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loclab import transporter
+from loclab import extension, transporter
 from loclab.extension import (automorphism_group, compose_maps, hom_completions,
                               iso_defect)
 from loclab.fixtures import build_fixture
@@ -350,42 +350,29 @@ def test_inclusion_twist_is_spotted():
         lambda_map(twist)
 
 
-def test_a_forged_lift_of_a_non_generator_is_refused(monkeypatch):
-    """`aut_transporter` classifies the lifts of the generators of Aut(L)
-    only, and requires every other lift to be one of their composites.
-    The lift of one non-generator with two images swapped is not, and is
-    refused, before the direct enumeration runs."""
+def test_identity_lifts_of_the_generators_are_refused(monkeypatch):
+    """`aut_transporter` lifts the generators of Aut(L) only, and requires
+    the closure of their lifts to have as many members as Aut(L).  With
+    every generator lifted to the identity functor the closure is the
+    identity alone, and the size check refuses it before the direct
+    enumeration runs."""
     _, T = _fresh_s4_cr()
     group = automorphism_group(locality_of_transporter(T))
-    target = next(group.tokens[i] for i in range(group.order)
-                  if i not in group.generators and i != group.identity)
-    real = transporter._lift_locality_aut
-    forged = []
+    assert group.order == 8
+    lifted = []
 
     def lift(system, sigma):
-        alpha = real(system, sigma)
-        if system is T and tuple(sigma) == target:
-            a, b = next(_hom_set_pairs(T))
-            images = list(alpha.morphism_map)
-            images[a], images[b] = images[b], images[a]
-            alpha = CategoryFunctor(T, T, alpha.object_map, tuple(images))
-            forged.append(alpha)
-        return alpha
+        lifted.append(sigma)
+        return identity_functor(system)
+
+    def refuse(system):
+        raise AssertionError("the direct enumeration ran")
 
     monkeypatch.setattr(transporter, "_lift_locality_aut", lift)
-    with pytest.raises(TransporterError, match="not the closure of the "
-                       "certified generator lifts"):
+    monkeypatch.setattr(transporter, "_enumerate_functors_directly", refuse)
+    with pytest.raises(TransporterError, match="not the size of Aut"):
         aut_transporter(T)
-    assert len(forged) == 1 and not is_transporter_iso(forged[0])
-
-
-def _hom_set_pairs(T):
-    """Pairs of non-identity morphisms in one hom set, in id order."""
-    idents = set(T.identity_ids.values())
-    for i in range(len(T.objects)):
-        for j in range(len(T.objects)):
-            ids = [m for m in T.mor(i, j) if m not in idents]
-            yield from ((a, b) for k, a in enumerate(ids) for b in ids[k + 1:])
+    assert lifted == [group.tokens[g] for g in group.generators]
 
 
 def test_descent_is_decided_by_membership():
@@ -397,8 +384,9 @@ def test_descent_is_decided_by_membership():
     L2 = locality_of_transporter(T)
     phi = next(a for a in auts if a.morphism_map != tuple(range(T.mor_count)))
     sigma = lambda_map(phi)
-    assert sigma in L2._automorphism_set
-    L2._automorphism_set = L2._automorphism_set - {sigma}
+    key = (extension._automorphism_set.__wrapped__,)
+    assert sigma in L2._derived[key]
+    L2._derived[key] = L2._derived[key] - {sigma}
     with pytest.raises(TransporterError, match="not an automorphism"):
         lambda_map(phi)
     assert lambda_map(identity_functor(T)) == tuple(range(L2.size))
